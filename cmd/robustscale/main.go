@@ -1,7 +1,9 @@
 // Command robustscale trains the NHPP arrival model on a trace and emits
 // the upcoming proactive scaling plan: a list of absolute instance
 // creation times computed by the selected stochastically constrained
-// formulation.
+// formulation. It runs the serving engine in-process — ingest the
+// training arrivals, train, plan at the train/test boundary — so it
+// prints exactly what scalerd would serve for the same history.
 //
 // Usage:
 //
@@ -12,12 +14,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
-	"robustscaler"
-	"robustscaler/internal/decision"
-	"robustscaler/internal/stats"
+	"robustscaler/internal/engine"
+	"robustscaler/internal/sim"
 	"robustscaler/internal/trace"
 )
 
@@ -47,69 +47,39 @@ func main() {
 		tau = 13
 	}
 
-	series := tr.TrainCountSeries(60)
-	cfg := robustscaler.DefaultTrainConfig()
-	cfg.Periodicity.AggregateWindow = 10
-	cfg.Periodicity.MinPeriod = 3
-	model, err := robustscaler.Train(series, cfg)
+	now := tr.TrainEnd
+	cfg := engine.DefaultConfig()
+	cfg.Pending = tau
+	cfg.HistoryWindow = 0
+	cfg.MCSamples = *mcR
+	cfg.Seed = *seed
+	cfg.Now = func() float64 { return now }
+	cfg.Train.Periodicity.AggregateWindow = 10
+	cfg.Train.Periodicity.MinPeriod = 3
+	eng, err := engine.New(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	if _, err := eng.Ingest(sim.Arrivals(tr.Train())); err != nil {
+		fatal(err)
+	}
+	info, err := eng.Train()
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("trained on %d bins; detected period: %.0f s; ADMM iterations: %d (converged=%v)\n",
-		series.Len(), model.PeriodSeconds, model.FitStats.Iterations, model.FitStats.Converged)
+		info.Bins, info.PeriodSeconds, info.Iterations, info.Converged)
+	fmt.Printf("current time t0 = %.0f s; forecast intensity λ(t0) = %.4g qps\n", now, eng.Status().RateNow)
 
-	now := tr.TrainEnd
-	fmt.Printf("current time t0 = %.0f s; forecast intensity λ(t0) = %.4g qps\n", now, model.Rate(now))
-
-	// κ threshold (eq. 8) under the local intensity bound.
-	alpha := 0.1
-	if *variant == "hp" {
-		alpha = 1 - *target
+	plan, err := eng.Plan(engine.PlanRequest{Variant: *variant, Target: *target, Horizon: *horizon, Now: now, HasNow: true})
+	if err != nil {
+		fatal(err)
 	}
-	kappa := decision.Kappa(model.Rate(now), stats.Deterministic{Value: tau}, alpha, nil, 0)
-	fmt.Printf("κ threshold (eq. 8) at local intensity: %d arrivals\n", kappa)
-
-	h := decision.NewHorizon(model.NHPP, now, 1, 0)
-	rng := rand.New(rand.NewSource(*seed))
-	tauSamples := make([]float64, *mcR)
-	for i := range tauSamples {
-		tauSamples[i] = tau
-	}
-	fmt.Printf("\nplan (variant=%s, target=%g, horizon=%.0f s):\n", *variant, *target, *horizon)
+	fmt.Printf("κ threshold (eq. 8) at local intensity: %d arrivals\n", plan.Kappa)
+	fmt.Printf("\nplan (variant=%s, target=%g, horizon=%.0f s):\n", plan.Variant, plan.Target, *horizon)
 	fmt.Println("query#  create_at_s  lead_s")
-	for i := 1; ; i++ {
-		var x float64
-		switch *variant {
-		case "hp":
-			q, ok := h.QuantileArrival(i, 1-*target)
-			if !ok {
-				return
-			}
-			x = q - tau
-		case "rt", "cost":
-			xi := make([]float64, *mcR)
-			for s := range xi {
-				u, ok := h.SampleArrival(rng, i)
-				if !ok {
-					return
-				}
-				xi[s] = u - now
-			}
-			if *variant == "rt" {
-				x = now + decision.SolveRT(xi, tauSamples, *target)
-			} else {
-				x = now + decision.SolveCost(xi, tauSamples, *target)
-			}
-		default:
-			fatal(fmt.Errorf("unknown variant %q", *variant))
-		}
-		if x < now {
-			x = now
-		}
-		if x > now+*horizon {
-			return
-		}
-		fmt.Printf("%6d  %11.1f  %6.1f\n", i, x, x-now)
+	for _, p := range plan.Plan {
+		fmt.Printf("%6d  %11.1f  %6.1f\n", p.QueryIndex, p.CreateAt, p.LeadSecs)
 	}
 }
 

@@ -26,12 +26,12 @@ import (
 	"sync"
 	"time"
 
-	"robustscaler"
 	"robustscaler/internal/decision"
 	"robustscaler/internal/metrics"
 	"robustscaler/internal/nhpp"
 	"robustscaler/internal/stats"
 	"robustscaler/internal/timeseries"
+	"robustscaler/internal/train"
 	"robustscaler/internal/wal"
 )
 
@@ -46,24 +46,22 @@ var (
 )
 
 // Config parameterizes one workload's engine (and, via Registry, every
-// workload it creates). The per-workload fields (Dt, Pending,
-// HistoryWindow, MCSamples, the plan targets and RetrainEvery) only
-// seed the workload's initial EngineConfig — after creation they are
-// read, persisted and updated through the versioned config plane
-// (EngineConfig / SetEngineConfig), so on a running daemon the flags
-// behind this struct are fleet defaults, not live settings.
+// workload it creates): the per-workload defaults plus the process-wide
+// static parts. The embedded EngineConfig only seeds the workload's
+// initial configuration — after creation the knobs are read, persisted
+// and updated through the versioned config plane (EngineConfig /
+// SetEngineConfig), so on a running daemon the flags behind this struct
+// are fleet defaults, not live settings.
 type Config struct {
-	// Dt is the modeling bin width in seconds.
-	Dt float64
-	// Pending is the instance startup time τ in seconds.
-	Pending float64
-	// Train configures model fitting.
-	Train robustscaler.TrainConfig
-	// HistoryWindow bounds the retained arrival history in seconds;
-	// 0 keeps everything.
-	HistoryWindow float64
-	// MCSamples for the rt/cost plan variants.
-	MCSamples int
+	// EngineConfig holds the per-workload defaults a new workload starts
+	// from (Version is ignored: every workload starts at version 1).
+	// Zero HPTarget/RTTarget/CostTarget mean 0.9, zero PlanHorizon 600
+	// and non-positive MCSamples 1000. Its TrainKnobs are reached as
+	// cfg.EngineConfig.Train — the Train selector is the field below.
+	EngineConfig
+	// Train is the fleet-wide training configuration each workload's
+	// TrainKnobs overlay.
+	Train train.Config
 	// MCWorkers bounds the pool that parallelizes Monte Carlo draws
 	// within one planning round; ≤0 uses GOMAXPROCS. Purely a latency
 	// knob: plans are bit-identical for every worker count, because
@@ -74,31 +72,18 @@ type Config struct {
 	// Now supplies the current time as a Unix-epoch-like second count;
 	// defaults to time.Now. Tests inject a fake clock.
 	Now func() float64
-	// HPTarget is the default hit-probability target for hp plans;
-	// 0 means 0.9.
-	HPTarget float64
-	// RTTarget is the default wait budget (seconds) for rt plans;
-	// 0 means 0.9 (the pre-config-plane request default).
-	RTTarget float64
-	// CostTarget is the default idle budget (seconds) for cost plans;
-	// 0 means 0.9 (the pre-config-plane request default).
-	CostTarget float64
-	// PlanHorizon is the default planning horizon in seconds; 0 means
-	// 600.
-	PlanHorizon float64
-	// RetrainEvery is the per-workload minimum seconds between
-	// background refits; 0 refits whenever stale.
-	RetrainEvery float64
 }
 
 // DefaultConfig returns a production-shaped configuration.
 func DefaultConfig() Config {
 	return Config{
-		Dt:            60,
-		Pending:       13,
-		Train:         robustscaler.DefaultTrainConfig(),
-		HistoryWindow: 28 * 86400,
-		MCSamples:     1000,
+		EngineConfig: EngineConfig{
+			Dt:            60,
+			Pending:       13,
+			HistoryWindow: 28 * 86400,
+			MCSamples:     1000,
+		},
+		Train: train.DefaultConfig(),
 	}
 }
 
@@ -131,51 +116,15 @@ func (c *Config) validate() error {
 	if c.PlanHorizon == 0 {
 		c.PlanHorizon = 600
 	}
+	c.Version = 1
 	return nil
-}
-
-// engineConfig derives the initial per-workload EngineConfig from a
-// normalized template. applyEngineConfig is its inverse; a new
-// per-workload knob must be added to both (and to the EngineConfig
-// struct itself).
-func (c Config) engineConfig() EngineConfig {
-	return EngineConfig{
-		Version:       1,
-		Dt:            c.Dt,
-		Pending:       c.Pending,
-		HistoryWindow: c.HistoryWindow,
-		MCSamples:     c.MCSamples,
-		HPTarget:      c.HPTarget,
-		RTTarget:      c.RTTarget,
-		CostTarget:    c.CostTarget,
-		PlanHorizon:   c.PlanHorizon,
-		RetrainEvery:  c.RetrainEvery,
-		// Train starts at the zero value: every knob at "fleet default",
-		// i.e. the template's TrainConfig applies unmodified.
-	}
-}
-
-// applyEngineConfig returns a copy of c with the per-workload tunables
-// replaced by ec's values — the inverse of engineConfig.
-func (c Config) applyEngineConfig(ec EngineConfig) Config {
-	c.Dt = ec.Dt
-	c.Pending = ec.Pending
-	c.HistoryWindow = ec.HistoryWindow
-	c.MCSamples = ec.MCSamples
-	c.HPTarget = ec.HPTarget
-	c.RTTarget = ec.RTTarget
-	c.CostTarget = ec.CostTarget
-	c.PlanHorizon = ec.PlanHorizon
-	c.RetrainEvery = ec.RetrainEvery
-	c.Train = overlayTrainKnobs(c.Train, ec.Train, ec.Dt)
-	return c
 }
 
 // overlayTrainKnobs overlays the per-workload training knobs onto the
 // fleet default TrainConfig: zero-valued knobs keep the default. dt is
 // the workload's modeling bin width, needed to convert the
 // candidate-period knob (seconds) into detector bins.
-func overlayTrainKnobs(tc robustscaler.TrainConfig, k TrainKnobs, dt float64) robustscaler.TrainConfig {
+func overlayTrainKnobs(tc train.Config, k TrainKnobs, dt float64) train.Config {
 	if k.ADMMMaxIter > 0 {
 		tc.Fit.MaxIter = k.ADMMMaxIter
 	}
@@ -207,15 +156,16 @@ func overlayTrainKnobs(tc robustscaler.TrainConfig, k TrainKnobs, dt float64) ro
 // planning.
 //
 // cfg holds the static, immutable-after-New parts (Train sub-config,
-// clock, MC worker pool, seed); the per-workload tunables live in ec,
-// guarded by mu, because SetEngineConfig mutates them at runtime.
+// clock, MC worker pool, seed) — its embedded EngineConfig is only the
+// creation-time template; the live per-workload tunables are ec, guarded
+// by mu, because SetEngineConfig mutates them at runtime.
 type Engine struct {
 	cfg Config
 
 	mu       sync.Mutex
 	ec       EngineConfig
 	arrivals []float64 // sorted
-	model    *robustscaler.Model
+	model    *train.Model
 	trainedN int // arrivals included in the current model
 	// stateGen counts durable-state mutations (ingest, train install,
 	// restore, config update); the snapshotter uses it to skip workloads
@@ -261,7 +211,7 @@ type Engine struct {
 	// invalidates the cache without touching it. Bounded by
 	// maxCachedResults; see cachedPlanLocked.
 	cacheGen    int64
-	cacheModel  *robustscaler.Model
+	cacheModel  *train.Model
 	cacheCfgVer int64
 	planCache   map[planKey]*Plan
 	fcCache     map[forecastKey]*forecastEntry
@@ -307,11 +257,10 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ec := cfg.engineConfig()
-	if err := ec.validate(); err != nil {
+	if err := cfg.EngineConfig.validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, ec: ec, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &Engine{cfg: cfg, ec: cfg.EngineConfig, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // Config returns the engine's configuration in the constructor's shape:
@@ -321,7 +270,10 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Config() Config {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cfg.applyEngineConfig(e.ec)
+	c := e.cfg
+	c.EngineConfig = e.ec
+	c.Train = overlayTrainKnobs(c.Train, e.ec.Train, e.ec.Dt)
+	return c
 }
 
 // Now reads the engine's clock — the injectable time source callers use
@@ -558,7 +510,7 @@ func (e *Engine) Train() (TrainInfo, error) {
 	series := buildSeries(arr, dt)
 	// The arrival history is already bounded to HistoryWindow at ingest,
 	// so the fit covers the whole series (window 0).
-	model, err := robustscaler.FitWindowWarm(series, 0, trainCfg, warm)
+	model, err := train.FitWindowWarm(series, 0, trainCfg, warm)
 	fitDur := time.Since(fitStart)
 	if h := e.fitSeconds; h != nil {
 		h.Observe(fitDur.Seconds())
@@ -605,7 +557,7 @@ func (e *Engine) Train() (TrainInfo, error) {
 // Retrain refits only when arrivals accumulated since the last fit — the
 // idempotent step the background worker pool calls on every sweep. It
 // reports whether a refit ran; on error the previous model is kept, per
-// the retraining semantics of robustscaler.FitWindow. A per-workload
+// the retraining semantics of train.FitWindow. A per-workload
 // RetrainEvery additionally rate-limits refits of an existing model:
 // a stale workload whose model is younger than the cadence is skipped
 // until the next sweep (an explicit Train is never gated).
@@ -804,7 +756,7 @@ planLoop:
 
 // cachedPlan returns the cached round for key, provided the cache still
 // belongs to the (gen, model, cfgVer) the caller read.
-func (e *Engine) cachedPlan(gen int64, model *robustscaler.Model, cfgVer int64, key planKey) (*Plan, bool) {
+func (e *Engine) cachedPlan(gen int64, model *train.Model, cfgVer int64, key planKey) (*Plan, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cacheGen != gen || e.cacheModel != model || e.cacheCfgVer != cfgVer || e.planCache == nil {
@@ -818,7 +770,7 @@ func (e *Engine) cachedPlan(gen int64, model *robustscaler.Model, cfgVer int64, 
 // was being computed (an ingest, train or config update landed
 // mid-flight) — a stale round is still correct to return once, but must
 // not be served again.
-func (e *Engine) storePlan(gen int64, model *robustscaler.Model, cfgVer int64, key planKey, p *Plan) {
+func (e *Engine) storePlan(gen int64, model *train.Model, cfgVer int64, key planKey, p *Plan) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.gen != gen || e.model != model || e.ec.Version != cfgVer {
@@ -835,7 +787,7 @@ func (e *Engine) storePlan(gen int64, model *robustscaler.Model, cfgVer int64, k
 // every entry of a previous binding. Invalidation is lazy: ingest/
 // train/restore/config updates only move gen, the model pointer or the
 // config version, and the next lookup under the new binding misses.
-func (e *Engine) rebindCacheLocked(gen int64, model *robustscaler.Model, cfgVer int64) {
+func (e *Engine) rebindCacheLocked(gen int64, model *train.Model, cfgVer int64) {
 	if e.cacheGen == gen && e.cacheModel == model && e.cacheCfgVer == cfgVer && e.planCache != nil {
 		return
 	}
@@ -964,7 +916,7 @@ func (e *Engine) forecast(from, to, step float64) (*forecastEntry, error) {
 	return ent, nil
 }
 
-func (e *Engine) cachedForecast(gen int64, model *robustscaler.Model, cfgVer int64, key forecastKey) (*forecastEntry, bool) {
+func (e *Engine) cachedForecast(gen int64, model *train.Model, cfgVer int64, key forecastKey) (*forecastEntry, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cacheGen != gen || e.cacheModel != model || e.cacheCfgVer != cfgVer || e.fcCache == nil {
@@ -974,7 +926,7 @@ func (e *Engine) cachedForecast(gen int64, model *robustscaler.Model, cfgVer int
 	return ent, ok
 }
 
-func (e *Engine) storeForecast(gen int64, model *robustscaler.Model, cfgVer int64, key forecastKey, ent *forecastEntry) {
+func (e *Engine) storeForecast(gen int64, model *train.Model, cfgVer int64, key forecastKey, ent *forecastEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.gen != gen || e.model != model || e.ec.Version != cfgVer {
@@ -1012,7 +964,7 @@ func (e *Engine) ExpectedArrivals(from, to float64) (float64, error) {
 // first successful Train. The model is immutable once installed (refits
 // swap the pointer), so callers may use it without further locking —
 // e.g. to build a policy over the engine-trained forecast.
-func (e *Engine) Model() *robustscaler.Model {
+func (e *Engine) Model() *train.Model {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.model

@@ -32,9 +32,9 @@ import (
 	"sync"
 	"time"
 
-	"robustscaler"
 	"robustscaler/internal/nhpp"
 	"robustscaler/internal/store"
+	"robustscaler/internal/train"
 )
 
 // engineState is the persisted form of one Engine: the per-workload
@@ -209,7 +209,7 @@ func (e *Engine) RestoreState(blob []byte) error {
 	if st.TrainedN < 0 {
 		return fmt.Errorf("%w: negative trained_n %d", ErrInvalid, st.TrainedN)
 	}
-	var model *robustscaler.Model
+	var model *train.Model
 	if ms := st.Model; ms != nil {
 		if ms.Dt <= 0 {
 			return fmt.Errorf("%w: restored model has non-positive dt %g", ErrInvalid, ms.Dt)
@@ -225,7 +225,7 @@ func (e *Engine) RestoreState(blob []byte) error {
 		if ms.PeriodBins < 0 || ms.PeriodBins >= len(ms.LogIntensity) {
 			return fmt.Errorf("%w: restored period %d bins outside [0, %d)", ErrInvalid, ms.PeriodBins, len(ms.LogIntensity))
 		}
-		model = &robustscaler.Model{
+		model = &train.Model{
 			NHPP:          nhpp.NewModel(ms.Start, ms.Dt, ms.LogIntensity, ms.PeriodBins),
 			PeriodBins:    ms.PeriodBins,
 			PeriodSeconds: ms.PeriodSeconds,

@@ -12,12 +12,12 @@ import (
 	"strings"
 	"sync"
 
-	"robustscaler"
 	"robustscaler/internal/nhpp"
 	"robustscaler/internal/scaler"
 	"robustscaler/internal/sim"
 	"robustscaler/internal/stats"
 	"robustscaler/internal/trace"
+	"robustscaler/internal/train"
 )
 
 // robustIntensity is the forecast interface consumed by the RobustScaler
@@ -78,7 +78,7 @@ type Runner struct {
 
 	mu     sync.Mutex
 	traces map[string]*trace.Trace
-	models map[string]*robustscaler.Model
+	models map[string]*train.Model
 }
 
 // NewRunner builds a runner.
@@ -86,7 +86,7 @@ func NewRunner(opt Options) *Runner {
 	return &Runner{
 		opt:    opt,
 		traces: map[string]*trace.Trace{},
-		models: map[string]*robustscaler.Model{},
+		models: map[string]*train.Model{},
 	}
 }
 
@@ -149,8 +149,8 @@ func (r *Runner) mcSamples() int {
 }
 
 // trainConfig returns the model-training configuration for a trace.
-func (r *Runner) trainConfig(t *trace.Trace) robustscaler.TrainConfig {
-	cfg := robustscaler.DefaultTrainConfig()
+func (r *Runner) trainConfig(t *trace.Trace) train.Config {
+	cfg := train.DefaultConfig()
 	// Aggregate minute bins before periodicity detection: CRS-scale
 	// traffic is too sparse per minute for the spectral test (Sec. IV).
 	switch t.Name {
@@ -166,7 +166,7 @@ func (r *Runner) trainConfig(t *trace.Trace) robustscaler.TrainConfig {
 
 // Model returns (and caches) the NHPP model trained on the trace's
 // training portion with Δt = 60 s, the paper's resolution.
-func (r *Runner) Model(name string) *robustscaler.Model {
+func (r *Runner) Model(name string) *train.Model {
 	r.mu.Lock()
 	if m, ok := r.models[name]; ok {
 		r.mu.Unlock()
@@ -182,9 +182,9 @@ func (r *Runner) Model(name string) *robustscaler.Model {
 }
 
 // trainOn trains a fresh model on an arbitrary (possibly modified) trace.
-func (r *Runner) trainOn(t *trace.Trace) *robustscaler.Model {
+func (r *Runner) trainOn(t *trace.Trace) *train.Model {
 	series := t.TrainCountSeries(60)
-	m, err := robustscaler.Train(series, r.trainConfig(t))
+	m, err := train.Fit(series, r.trainConfig(t))
 	if err != nil {
 		panic(fmt.Sprintf("experiments: training on %s: %v", t.Name, err))
 	}
@@ -216,7 +216,7 @@ func (r *Runner) replayLatency(t *trace.Trace, policy sim.Autoscaler, seed int64
 }
 
 // robustPolicy builds a RobustScaler variant for the trace's model.
-func (r *Runner) robustPolicy(name string, m *robustscaler.Model, v scaler.Variant, value float64, seed int64) sim.Autoscaler {
+func (r *Runner) robustPolicy(name string, m *train.Model, v scaler.Variant, value float64, seed int64) sim.Autoscaler {
 	t := r.Trace(name)
 	cfg := scaler.RobustConfig{
 		Variant:    v,

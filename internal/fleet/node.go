@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"path/filepath"
 	"time"
 
@@ -243,20 +241,9 @@ func (n *Node) bootPersistence(opts NodeOptions) error {
 // NewRemoteNode wraps an out-of-process node the router can forward
 // and scatter to but not migrate from/to: handler is the remote's HTTP
 // surface, typically httputil.ReverseProxy over whatever transport
-// reaches it. See ProxyHandler.
+// reaches it.
 func NewRemoteNode(name string, handler http.Handler) *Node {
 	return &Node{name: name, handler: handler}
-}
-
-// ProxyHandler is the multi-process seam: an http.Handler that relays
-// to base over rt (nil rt = http.DefaultTransport), suitable for
-// NewRemoteNode. Kept minimal deliberately — retries, hedging and
-// authentication belong to the transport, which is exactly why the
-// seam is an http.RoundTripper.
-func ProxyHandler(base *url.URL, rt http.RoundTripper) http.Handler {
-	p := httputil.NewSingleHostReverseProxy(base)
-	p.Transport = rt
-	return p
 }
 
 // Name returns the node's fleet-unique name.

@@ -236,15 +236,12 @@ func (d *Decider) windowMax(cut float64) int {
 // unset, mirroring the config plane's validation cap.
 const maxDesiredReplicas = 1_000_000
 
-// poissonQuantile returns the smallest k with P(X ≤ k) ≥ q for
-// X ~ Poisson(lambda): the pool size covering the arrival count at
-// probability q. Guarded against degenerate inputs: a non-positive or
-// non-finite lambda recommends 0 and lets min_replicas speak.
+// poissonQuantile is the pool size covering the arrival count at
+// probability q: the q-quantile of Poisson(lambda), guarded against
+// degenerate inputs — a non-positive or non-finite lambda recommends 0
+// and lets min_replicas speak.
 func poissonQuantile(lambda, q float64) int {
-	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) {
-		return 0
-	}
-	if q <= 0 {
+	if lambda <= 0 || math.IsNaN(lambda) || math.IsInf(lambda, 0) || q <= 0 {
 		return 0
 	}
 	if q >= 1 {
@@ -256,16 +253,5 @@ func poissonQuantile(lambda, q float64) int {
 	if lambda >= maxDesiredReplicas {
 		return maxDesiredReplicas
 	}
-	p := stats.Poisson{Lambda: lambda}
-	k := int(lambda - 10*math.Sqrt(lambda) - 2)
-	if k < 0 {
-		k = 0
-	}
-	for p.CDF(k) < q {
-		k++
-	}
-	for k > 0 && p.CDF(k-1) >= q {
-		k--
-	}
-	return k
+	return stats.Poisson{Lambda: lambda}.Quantile(q)
 }

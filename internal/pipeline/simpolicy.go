@@ -6,10 +6,9 @@ package pipeline
 // context, analyzes the expected arrivals over the replenish lead from
 // the engine-trained model, optimizes through the same Decider the live
 // controller runs (min/max, rate steps, stabilization window,
-// cooldown), and actuates by reconciling the pool with Schedule /
-// CancelScheduled / DeleteIdle — the same mutation verbs the paper's
-// AdapBP baseline uses, so the scorecard compares policies, not
-// plumbing.
+// cooldown), and actuates through sim.Context.Reconcile — the same
+// pool actuation the paper's AdapBP baseline uses, so the scorecard
+// compares policies, not plumbing.
 
 import (
 	"fmt"
@@ -84,32 +83,14 @@ func (p *SimPolicy) OnTick(ctx *sim.Context, now float64) {
 		p.stats.Clamped++
 	}
 	p.target = rec.Desired
-	p.reconcile(ctx)
+	ctx.Reconcile(p.target)
 }
 
 // OnArrival implements sim.Autoscaler: the consumed instance is
 // replenished toward the current target (the pool model's replenish
 // step; the target itself only moves on ticks).
 func (p *SimPolicy) OnArrival(ctx *sim.Context, _ sim.Query) {
-	p.reconcile(ctx)
-}
-
-// reconcile brings the committed instance count to the target, the
-// same way AdapBP does: schedule up, cancel-then-delete down.
-func (p *SimPolicy) reconcile(ctx *sim.Context) {
-	have := ctx.AvailableCount()
-	switch {
-	case have < p.target:
-		for i := have; i < p.target; i++ {
-			ctx.Schedule(ctx.Now())
-		}
-	case have > p.target:
-		excess := have - p.target
-		excess -= ctx.CancelScheduled(excess)
-		if excess > 0 {
-			ctx.DeleteIdle(excess)
-		}
-	}
+	ctx.Reconcile(p.target)
 }
 
 // String identifies the policy in experiment output.

@@ -75,29 +75,12 @@ func (p *AdapBP) OnTick(ctx *sim.Context, now float64) {
 	p.lastResize = now
 	qps := ctx.RecentQPS(p.Window)
 	p.target = int(p.Factor*qps + 0.5)
-	p.reconcile(ctx)
+	ctx.Reconcile(p.target)
 }
 
 // OnArrival implements sim.Autoscaler: replenish toward the target.
 func (p *AdapBP) OnArrival(ctx *sim.Context, _ sim.Query) {
-	p.reconcile(ctx)
-}
-
-// reconcile brings the committed instance count to the target.
-func (p *AdapBP) reconcile(ctx *sim.Context) {
-	have := ctx.AvailableCount()
-	switch {
-	case have < p.target:
-		for i := have; i < p.target; i++ {
-			ctx.Schedule(ctx.Now())
-		}
-	case have > p.target:
-		excess := have - p.target
-		excess -= ctx.CancelScheduled(excess)
-		if excess > 0 {
-			ctx.DeleteIdle(excess)
-		}
-	}
+	ctx.Reconcile(p.target)
 }
 
 // String identifies the policy in experiment output.

@@ -62,11 +62,6 @@ type RobustConfig struct {
 	// falls within the next Δ seconds. Should equal the simulator's
 	// TickInterval.
 	PlanWindow float64
-	// HorizonStep is the integration grid for inverting Λ; ≤0 picks a
-	// sensible default from the intensity scale.
-	HorizonStep float64
-	// MaxPerTick caps creations scheduled in one round (safety valve).
-	MaxPerTick int
 	// Seed drives the policy's Monte Carlo draws.
 	Seed int64
 	// PlanEveryArrivals m > 0 selects the literal Algorithm 4 cadence:
@@ -135,9 +130,6 @@ func NewRobustScaler(in nhpp.Intensity, cfg RobustConfig) (*RobustScaler, error)
 	if cfg.PlanWindow <= 0 {
 		cfg.PlanWindow = 1
 	}
-	if cfg.MaxPerTick <= 0 {
-		cfg.MaxPerTick = 1 << 17
-	}
 	return &RobustScaler{
 		cfg: cfg,
 		in:  in,
@@ -194,24 +186,22 @@ func (p *RobustScaler) OnArrival(ctx *sim.Context, _ sim.Query) {
 	p.plan(ctx, ctx.Now())
 }
 
-// horizonStep picks the Λ-inversion grid width.
+// maxPerRound caps creations scheduled in one planning round (safety
+// valve); minHorizonStep and maxHorizonStep clamp the Λ-inversion grid.
+const (
+	maxPerRound    = 1 << 17
+	minHorizonStep = 0.05
+	maxHorizonStep = 60
+)
+
+// horizonStep picks the Λ-inversion grid width: ~1 expected arrival per
+// cell, clamped to [minHorizonStep, maxHorizonStep] seconds.
 func (p *RobustScaler) horizonStep(now float64) float64 {
-	if p.cfg.HorizonStep > 0 {
-		return p.cfg.HorizonStep
-	}
-	// Aim for ~1 expected arrival per cell, clamped to [0.05 s, 60 s].
 	rate := p.in.Rate(now)
 	if rate <= 0 {
-		return 60
+		return maxHorizonStep
 	}
-	step := 1 / rate
-	if step < 0.05 {
-		step = 0.05
-	}
-	if step > 60 {
-		step = 60
-	}
-	return step
+	return math.Min(math.Max(1/rate, minHorizonStep), maxHorizonStep)
 }
 
 // plan runs one round. Two commitments are combined, per Algorithm 4 and
@@ -239,7 +229,7 @@ func (p *RobustScaler) plan(ctx *sim.Context, now float64) {
 	scheduled := 0
 	i := ctx.AvailableCount() + 1
 	nextAt := math.Inf(1)
-	for scheduled < p.cfg.MaxPerTick {
+	for scheduled < maxPerRound {
 		x, ok := p.decideOne(h, now, i, detTau, tauIsDet)
 		if !ok {
 			// Intensity mass exhausted within the look-ahead: the i-th

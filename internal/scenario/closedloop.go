@@ -19,14 +19,8 @@ package scenario
 // (CLOSEDLOOP.json is committed and gated in CI).
 
 import (
-	"fmt"
-
 	"robustscaler/internal/engine"
-	"robustscaler/internal/gen"
 	"robustscaler/internal/pipeline"
-	"robustscaler/internal/scaler"
-	"robustscaler/internal/sim"
-	"robustscaler/internal/stats"
 )
 
 // ClosedLoopScenario is one closed-loop corpus entry: a base scenario
@@ -157,111 +151,42 @@ func ClosedLoopCorpus() []ClosedLoopScenario {
 // RunClosedLoop drives one closed-loop scenario and scores it.
 func RunClosedLoop(cl ClosedLoopScenario, baseSeed int64, quick bool) (*ClosedLoopScore, error) {
 	sc := cl.Scenario
-	if sc.Gen == nil {
-		return nil, fmt.Errorf("closed loop: scenario has no generator")
-	}
-	sc.defaults()
-	seed := baseSeed + sc.SeedOffset
-	f := sc.Gen.Frame()
-	tr := gen.Trace(sc.Gen, seed)
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("closed loop %s: generated trace invalid: %w", tr.Name, err)
-	}
-
-	testEnd := f.End
-	if quick && sc.QuickTestSpan > 0 && f.TrainEnd+sc.QuickTestSpan < f.End {
-		testEnd = f.TrainEnd + sc.QuickTestSpan
-	}
-	trainQ := tr.Train()
-	testQ := clipQueries(tr.Test(), testEnd)
-	if len(trainQ) < 2 || len(testQ) == 0 {
-		return nil, fmt.Errorf("closed loop %s: degenerate split (%d train, %d test)", tr.Name, len(trainQ), len(testQ))
-	}
-
-	// The real engine, trained through the same ingest → train path the
-	// control plane serves; the pipeline's Analyze stage reads Λ off it.
-	ecfg := engine.DefaultConfig()
-	ecfg.Dt = sc.Dt
-	ecfg.Pending = f.MeanPending
-	ecfg.HistoryWindow = 0
-	ecfg.MCSamples = 200
-	ecfg.Seed = seed
-	ecfg.Now = func() float64 { return f.TrainEnd }
-	ecfg.Train = sc.trainConfig()
-	eng, err := engine.New(ecfg)
+	l, err := setup("closed loop", &sc, baseSeed, quick, 0)
 	if err != nil {
-		return nil, fmt.Errorf("closed loop %s: engine: %w", tr.Name, err)
+		return nil, err
 	}
-	if _, err := eng.Ingest(arrivalsOf(trainQ)); err != nil {
-		return nil, fmt.Errorf("closed loop %s: ingest: %w", tr.Name, err)
-	}
-	if _, err := eng.Train(); err != nil {
-		return nil, fmt.Errorf("closed loop %s: train: %w", tr.Name, err)
-	}
-
 	score := &ClosedLoopScore{
-		Name:            tr.Name,
-		TestQueries:     len(testQ),
-		TestSpanSeconds: testEnd - f.TrainEnd,
+		Name:            l.name,
+		TestQueries:     len(l.testQ),
+		TestSpanSeconds: l.testEnd - l.frame.TrainEnd,
 		Envelope:        cl.Envelope,
 	}
 
-	simCfg := sim.Config{
-		Start:        f.TrainEnd,
-		End:          testEnd,
-		PendingDist:  stats.Deterministic{Value: f.MeanPending},
-		MeanPending:  f.MeanPending,
-		MeanService:  f.MeanService,
-		TickInterval: sc.Tick,
-		Seed:         seed,
-	}
-	replay := func(p sim.Autoscaler) (PolicyScore, error) {
-		res, err := sim.Run(testQ, p, simCfg)
-		if err != nil {
-			return PolicyScore{}, err
-		}
-		return PolicyScore{
-			HitRate:          round6(res.HitRate()),
-			RTAvg:            round6(res.RTAvg()),
-			RTP95:            round6(res.RTQuantile(0.95)),
-			RelativeCost:     round6(res.RelativeCost()),
-			InstancesCreated: res.InstancesCreated,
-		}, nil
-	}
-
-	// The replenish lead is the pool model's horizon: pending time plus
-	// one planning tick, matching the live controller's default.
-	lead := f.MeanPending + sc.Tick
-	plain := &pipeline.SimPolicy{Analyzer: eng, Target: sc.HPTarget, Lead: lead}
-	if score.Pipeline, err = replay(plain); err != nil {
-		return nil, fmt.Errorf("closed loop %s: pipeline replay: %w", tr.Name, err)
+	// The pipeline's Analyze stage reads Λ off the engine. The replenish
+	// lead is the pool model's horizon: pending time plus one planning
+	// tick, matching the live controller's default.
+	lead := l.frame.MeanPending + sc.Tick
+	plain := &pipeline.SimPolicy{Analyzer: l.eng, Target: sc.HPTarget, Lead: lead}
+	if score.Pipeline, err = l.replay(plain); err != nil {
+		return nil, err
 	}
 	score.Decisions = plain.Stats()
-	guarded := &pipeline.SimPolicy{Analyzer: eng, Knobs: cl.Guard, Target: sc.HPTarget, Lead: lead}
-	if score.Guarded, err = replay(guarded); err != nil {
-		return nil, fmt.Errorf("closed loop %s: guarded replay: %w", tr.Name, err)
+	guarded := &pipeline.SimPolicy{Analyzer: l.eng, Knobs: cl.Guard, Target: sc.HPTarget, Lead: lead}
+	if score.Guarded, err = l.replay(guarded); err != nil {
+		return nil, err
 	}
 	score.GuardedDecisions = guarded.Stats()
-	if score.BP, err = replay(&scaler.BP{B: sc.BPSize}); err != nil {
-		return nil, fmt.Errorf("closed loop %s: BP replay: %w", tr.Name, err)
-	}
-	if score.AdapBP, err = replay(scaler.NewAdapBP(sc.AdapFactor)); err != nil {
-		return nil, fmt.Errorf("closed loop %s: AdapBP replay: %w", tr.Name, err)
+	if score.BP, score.AdapBP, err = l.replayBaselines(&sc); err != nil {
+		return nil, err
 	}
 
-	score.Checks = evaluateClosedLoop(score)
-	score.OK = true
-	for _, c := range score.Checks {
-		if !c.OK {
-			score.OK = false
-		}
-	}
+	score.Checks, score.OK = evaluateClosedLoop(score)
 	return score, nil
 }
 
 // RunClosedLoopCorpus runs every closed-loop scenario and assembles the
 // scorecard. Envelope misses do not abort — the report records them and
-// EnvelopesOK goes false, which cmd/closedloop turns into a non-zero
+// EnvelopesOK goes false, which cmd/scorecard turns into a non-zero
 // exit.
 func RunClosedLoopCorpus(corpus []ClosedLoopScenario, baseSeed int64, quick bool) (*ClosedLoopReport, error) {
 	rep := &ClosedLoopReport{Quick: quick, Seed: baseSeed, EnvelopesOK: true}
@@ -279,37 +204,27 @@ func RunClosedLoopCorpus(corpus []ClosedLoopScenario, baseSeed int64, quick bool
 }
 
 // evaluateClosedLoop applies the closed-loop envelope to the scores.
-func evaluateClosedLoop(s *ClosedLoopScore) []Check {
+func evaluateClosedLoop(s *ClosedLoopScore) ([]Check, bool) {
 	e := s.Envelope
-	var checks []Check
-	atMost := func(name string, v, bound float64) {
-		if bound > 0 {
-			checks = append(checks, Check{Name: name, Value: round6(v), Bound: bound, OK: v <= bound})
-		}
-	}
-	atLeast := func(name string, v, bound float64) {
-		if bound > 0 {
-			checks = append(checks, Check{Name: name, Value: round6(v), Bound: bound, OK: v >= bound})
-		}
-	}
-	atLeast("pipeline_hit_rate", s.Pipeline.HitRate, e.MinHitRate)
-	atMost("pipeline_relative_cost", s.Pipeline.RelativeCost, e.MaxRelativeCost)
+	var c checks
+	c.atLeast("pipeline_hit_rate", s.Pipeline.HitRate, e.MinHitRate)
+	c.atMost("pipeline_relative_cost", s.Pipeline.RelativeCost, e.MaxRelativeCost)
 	if e.MinHitVsAdapBP != 0 {
 		d := s.Pipeline.HitRate - s.AdapBP.HitRate
-		checks = append(checks, Check{Name: "hit_vs_adapbp", Value: round6(d), Bound: e.MinHitVsAdapBP, OK: d >= e.MinHitVsAdapBP})
+		c = append(c, Check{Name: "hit_vs_adapbp", Value: round6(d), Bound: e.MinHitVsAdapBP, OK: d >= e.MinHitVsAdapBP})
 	}
 	if e.MaxCostVsAdapBP > 0 && s.AdapBP.RelativeCost > 0 {
 		r := s.Pipeline.RelativeCost / s.AdapBP.RelativeCost
-		checks = append(checks, Check{Name: "cost_vs_adapbp", Value: round6(r), Bound: e.MaxCostVsAdapBP, OK: r <= e.MaxCostVsAdapBP})
+		c = append(c, Check{Name: "cost_vs_adapbp", Value: round6(r), Bound: e.MaxCostVsAdapBP, OK: r <= e.MaxCostVsAdapBP})
 	}
 	if e.MinHitVsBP != 0 {
 		d := s.Pipeline.HitRate - s.BP.HitRate
-		checks = append(checks, Check{Name: "hit_vs_bp", Value: round6(d), Bound: e.MinHitVsBP, OK: d >= e.MinHitVsBP})
+		c = append(c, Check{Name: "hit_vs_bp", Value: round6(d), Bound: e.MinHitVsBP, OK: d >= e.MinHitVsBP})
 	}
-	atLeast("guarded_hit_rate", s.Guarded.HitRate, e.MinGuardedHitRate)
+	c.atLeast("guarded_hit_rate", s.Guarded.HitRate, e.MinGuardedHitRate)
 	if e.MaxGuardedChurnRatio > 0 && s.Pipeline.InstancesCreated > 0 {
 		r := float64(s.Guarded.InstancesCreated) / float64(s.Pipeline.InstancesCreated)
-		checks = append(checks, Check{Name: "guarded_churn_ratio", Value: round6(r), Bound: e.MaxGuardedChurnRatio, OK: r <= e.MaxGuardedChurnRatio})
+		c = append(c, Check{Name: "guarded_churn_ratio", Value: round6(r), Bound: e.MaxGuardedChurnRatio, OK: r <= e.MaxGuardedChurnRatio})
 	}
-	return checks
+	return c.verdict()
 }

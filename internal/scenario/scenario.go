@@ -5,7 +5,7 @@
 // forecast accuracy (WAPE and Poisson pinball loss per horizon) and the
 // QoS/cost of the engine-trained RobustScaler policy against the BP and
 // AdapBP baselines. Every scenario carries an Envelope — hard numeric
-// bounds on those scores — asserted on every run; cmd/scenario writes
+// bounds on those scores — asserted on every run; cmd/scorecard writes
 // the scorecard as SCENARIOS.json, which is committed and jq-gated in
 // CI the same way BENCH_hotpath.json is.
 //
@@ -19,13 +19,13 @@ import (
 	"fmt"
 	"math"
 
-	"robustscaler"
 	"robustscaler/internal/engine"
 	"robustscaler/internal/gen"
 	"robustscaler/internal/scaler"
 	"robustscaler/internal/sim"
 	"robustscaler/internal/stats"
 	"robustscaler/internal/timeseries"
+	"robustscaler/internal/train"
 )
 
 // forecastStep is the scoring bin width (seconds): predicted vs actual
@@ -176,8 +176,8 @@ func (sc *Scenario) defaults() {
 }
 
 // trainConfig builds the per-scenario training configuration.
-func (sc *Scenario) trainConfig() robustscaler.TrainConfig {
-	cfg := robustscaler.DefaultTrainConfig()
+func (sc *Scenario) trainConfig() train.Config {
+	cfg := train.DefaultConfig()
 	if sc.AggregateWindow > 0 {
 		cfg.Periodicity.AggregateWindow = sc.AggregateWindow
 	}
@@ -187,30 +187,59 @@ func (sc *Scenario) trainConfig() robustscaler.TrainConfig {
 	return cfg
 }
 
-// Run drives one scenario through the closed loop and scores it.
-func Run(sc Scenario, baseSeed int64, quick bool) (*Score, error) {
+// loop is one scenario set up for scoring, the state both scorecards
+// start from: the generated trace split at TrainEnd (test span clipped
+// in quick mode), and the real engine — per-workload config, injectable
+// clock pinned to the train/test boundary so plan anchoring is
+// reproducible — with the training arrivals ingested and a model
+// trained through the same ingest → train path the control plane serves.
+type loop struct {
+	kind    string // "scenario" or "closed loop": the error prefix
+	name    string // the trace's name
+	seed    int64
+	frame   gen.Frame
+	testEnd float64
+	// trainArr is every training arrival; the engine has ingested
+	// trainArr[:ingested] (all of it unless setup was given a phase cut).
+	trainArr []float64
+	ingested int
+	testQ    []sim.Query
+	eng      *engine.Engine
+	simCfg   sim.Config
+}
+
+// setup builds the loop for sc. phaseCut > 0 ingests and trains only on
+// the training arrivals before that epoch — the first phase of a
+// two-phase scenario; the caller ingests the rest.
+func setup(kind string, sc *Scenario, baseSeed int64, quick bool, phaseCut float64) (*loop, error) {
+	if sc.Gen == nil {
+		return nil, fmt.Errorf("%s: scenario has no generator", kind)
+	}
 	sc.defaults()
 	seed := baseSeed + sc.SeedOffset
 	f := sc.Gen.Frame()
 	tr := gen.Trace(sc.Gen, seed)
+	l := &loop{kind: kind, name: tr.Name, seed: seed, frame: f, testEnd: f.End}
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("scenario %s: generated trace invalid: %w", tr.Name, err)
+		return nil, l.fail("generated trace invalid", err)
 	}
-
-	testEnd := f.End
 	if quick && sc.QuickTestSpan > 0 && f.TrainEnd+sc.QuickTestSpan < f.End {
-		testEnd = f.TrainEnd + sc.QuickTestSpan
+		l.testEnd = f.TrainEnd + sc.QuickTestSpan
 	}
 	trainQ := tr.Train()
-	testQ := clipQueries(tr.Test(), testEnd)
-	if len(trainQ) < 2 || len(testQ) == 0 {
-		return nil, fmt.Errorf("scenario %s: degenerate split (%d train, %d test)", tr.Name, len(trainQ), len(testQ))
+	l.testQ = clipQueries(tr.Test(), l.testEnd)
+	if len(trainQ) < 2 || len(l.testQ) == 0 {
+		return nil, l.fail("split", fmt.Errorf("degenerate: %d train, %d test queries", len(trainQ), len(l.testQ)))
 	}
-	testArr := arrivalsOf(testQ)
-	actual := timeseries.FromArrivals(testArr, f.TrainEnd, testEnd, forecastStep)
+	l.trainArr = sim.Arrivals(trainQ)
+	l.ingested = len(l.trainArr)
+	if phaseCut > 0 {
+		l.ingested = splitIndex(l.trainArr, phaseCut)
+		if l.ingested < 2 || l.ingested >= len(l.trainArr) {
+			return nil, l.fail("retrain split", fmt.Errorf("cut at %g leaves %d/%d arrivals", phaseCut, l.ingested, len(l.trainArr)))
+		}
+	}
 
-	// The real engine: per-workload config, injectable clock pinned to
-	// the train/test boundary so plan anchoring is reproducible.
 	ecfg := engine.DefaultConfig()
 	ecfg.Dt = sc.Dt
 	ecfg.Pending = f.MeanPending
@@ -219,75 +248,107 @@ func Run(sc Scenario, baseSeed int64, quick bool) (*Score, error) {
 	ecfg.Seed = seed
 	ecfg.Now = func() float64 { return f.TrainEnd }
 	ecfg.Train = sc.trainConfig()
-	eng, err := engine.New(ecfg)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: engine: %w", tr.Name, err)
+	var err error
+	if l.eng, err = engine.New(ecfg); err != nil {
+		return nil, l.fail("engine", err)
 	}
+	if _, err := l.eng.Ingest(l.trainArr[:l.ingested]); err != nil {
+		return nil, l.fail("ingest", err)
+	}
+	if _, err := l.eng.Train(); err != nil {
+		return nil, l.fail("train", err)
+	}
+	l.simCfg = sim.Config{
+		Start:        f.TrainEnd,
+		End:          l.testEnd,
+		PendingDist:  stats.Deterministic{Value: f.MeanPending},
+		MeanPending:  f.MeanPending,
+		MeanService:  f.MeanService,
+		TickInterval: sc.Tick,
+		Seed:         seed,
+	}
+	return l, nil
+}
 
+// fail wraps a step's error with the scorecard kind and trace name.
+func (l *loop) fail(step string, err error) error {
+	return fmt.Errorf("%s %s: %s: %w", l.kind, l.name, step, err)
+}
+
+// replay runs one policy over the held-out test span and scores it.
+func (l *loop) replay(p sim.Autoscaler) (PolicyScore, error) {
+	res, err := sim.Run(l.testQ, p, l.simCfg)
+	if err != nil {
+		return PolicyScore{}, l.fail(fmt.Sprintf("%v replay", p), err)
+	}
+	return PolicyScore{
+		HitRate:          round6(res.HitRate()),
+		RTAvg:            round6(res.RTAvg()),
+		RTP95:            round6(res.RTQuantile(0.95)),
+		RelativeCost:     round6(res.RelativeCost()),
+		InstancesCreated: res.InstancesCreated,
+	}, nil
+}
+
+// replayBaselines scores the BP and AdapBP baselines every scorecard
+// compares against.
+func (l *loop) replayBaselines(sc *Scenario) (bp, adap PolicyScore, err error) {
+	if bp, err = l.replay(&scaler.BP{B: sc.BPSize}); err != nil {
+		return bp, adap, err
+	}
+	adap, err = l.replay(scaler.NewAdapBP(sc.AdapFactor))
+	return bp, adap, err
+}
+
+// Run drives one scenario through the closed loop and scores it.
+func Run(sc Scenario, baseSeed int64, quick bool) (*Score, error) {
+	l, err := setup("scenario", &sc, baseSeed, quick, sc.RetrainAt)
+	if err != nil {
+		return nil, err
+	}
+	f, eng := l.frame, l.eng
+	actual := timeseries.FromArrivals(sim.Arrivals(l.testQ), f.TrainEnd, l.testEnd, forecastStep)
 	score := &Score{
-		Name:            tr.Name,
-		TrainQueries:    len(trainQ),
-		TestQueries:     len(testQ),
-		TestSpanSeconds: testEnd - f.TrainEnd,
+		Name:            l.name,
+		TrainQueries:    len(l.trainArr),
+		TestQueries:     len(l.testQ),
+		TestSpanSeconds: l.testEnd - f.TrainEnd,
 		Envelope:        sc.Envelope,
 	}
 
-	trainArr := arrivalsOf(trainQ)
-	if sc.RetrainAt > 0 {
-		// Two-phase loop: train on the pre-change prefix, score the stale
-		// forecast, then ingest the rest — the engine's generation
+	fc, err := forecastScore(eng, f.TrainEnd, l.testEnd, actual)
+	if err != nil {
+		return nil, l.fail("forecast", err)
+	}
+	if l.ingested < len(l.trainArr) {
+		// Two-phase loop: fc is the stale forecast of the model trained on
+		// the pre-change prefix. Ingest the rest — the engine's generation
 		// tracking must mark the model stale and Retrain must refit.
-		cut := splitIndex(trainArr, sc.RetrainAt)
-		if cut < 2 || cut >= len(trainArr) {
-			return nil, fmt.Errorf("scenario %s: retrain split at %g leaves %d/%d arrivals", tr.Name, sc.RetrainAt, cut, len(trainArr))
-		}
-		if _, err := eng.Ingest(trainArr[:cut]); err != nil {
-			return nil, fmt.Errorf("scenario %s: ingest phase 1: %w", tr.Name, err)
-		}
-		if _, err := eng.Train(); err != nil {
-			return nil, fmt.Errorf("scenario %s: train phase 1: %w", tr.Name, err)
-		}
-		staleFc, err := forecastScore(eng, f.TrainEnd, testEnd, actual)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: stale forecast: %w", tr.Name, err)
-		}
-		if _, err := eng.Ingest(trainArr[cut:]); err != nil {
-			return nil, fmt.Errorf("scenario %s: ingest phase 2: %w", tr.Name, err)
+		if _, err := eng.Ingest(l.trainArr[l.ingested:]); err != nil {
+			return nil, l.fail("ingest phase 2", err)
 		}
 		refitted, err := eng.Retrain()
 		if err != nil {
-			return nil, fmt.Errorf("scenario %s: retrain: %w", tr.Name, err)
+			return nil, l.fail("retrain", err)
 		}
-		freshFc, err := forecastScore(eng, f.TrainEnd, testEnd, actual)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: fresh forecast: %w", tr.Name, err)
+		stale := fc
+		if fc, err = forecastScore(eng, f.TrainEnd, l.testEnd, actual); err != nil {
+			return nil, l.fail("fresh forecast", err)
 		}
 		// A perfect fresh forecast would make the gain infinite; cap it so
 		// the scorecard stays valid JSON.
 		gain := 1e6
-		if freshFc.WAPE > 0 {
-			gain = staleFc.WAPE / freshFc.WAPE
+		if fc.WAPE > 0 {
+			gain = stale.WAPE / fc.WAPE
 		}
 		score.Retrain = &RetrainScore{
-			StaleWAPE: staleFc.WAPE,
-			FreshWAPE: freshFc.WAPE,
+			StaleWAPE: stale.WAPE,
+			FreshWAPE: fc.WAPE,
 			Gain:      round6(gain),
 			Refitted:  refitted,
 		}
-		score.Forecast = freshFc
-	} else {
-		if _, err := eng.Ingest(trainArr); err != nil {
-			return nil, fmt.Errorf("scenario %s: ingest: %w", tr.Name, err)
-		}
-		if _, err := eng.Train(); err != nil {
-			return nil, fmt.Errorf("scenario %s: train: %w", tr.Name, err)
-		}
-		fc, err := forecastScore(eng, f.TrainEnd, testEnd, actual)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: forecast: %w", tr.Name, err)
-		}
-		score.Forecast = fc
 	}
+	score.Forecast = fc
 	score.PeriodSeconds = eng.Status().PeriodSeconds
 
 	// Plan smoke through the engine's own planning path: the scenario
@@ -296,73 +357,40 @@ func Run(sc Scenario, baseSeed int64, quick bool) (*Score, error) {
 		Variant: "hp", Target: sc.HPTarget, Horizon: 600,
 		Now: f.TrainEnd, HasNow: true,
 	}); err != nil {
-		return nil, fmt.Errorf("scenario %s: plan: %w", tr.Name, err)
+		return nil, l.fail("plan", err)
 	}
 
 	// Closed loop: the replayed policy plans on the engine-trained
 	// model, not a side-channel refit.
 	model := eng.Model()
 	if model == nil {
-		return nil, fmt.Errorf("scenario %s: engine has no model after training", tr.Name)
+		return nil, l.fail("model", engine.ErrNoModel)
 	}
-	tau := stats.Deterministic{Value: f.MeanPending}
 	robust, err := scaler.NewRobustScaler(model.NHPP, scaler.RobustConfig{
 		Variant:    scaler.HP,
 		Alpha:      1 - sc.HPTarget,
-		Tau:        tau,
+		Tau:        l.simCfg.PendingDist,
 		MCSamples:  200,
 		PlanWindow: sc.Tick,
-		Seed:       seed,
+		Seed:       l.seed,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: policy: %w", tr.Name, err)
+		return nil, l.fail("policy", err)
+	}
+	if score.Robust, err = l.replay(robust); err != nil {
+		return nil, err
+	}
+	if score.BP, score.AdapBP, err = l.replayBaselines(&sc); err != nil {
+		return nil, err
 	}
 
-	simCfg := sim.Config{
-		Start:        f.TrainEnd,
-		End:          testEnd,
-		PendingDist:  tau,
-		MeanPending:  f.MeanPending,
-		MeanService:  f.MeanService,
-		TickInterval: sc.Tick,
-		Seed:         seed,
-	}
-	replay := func(p sim.Autoscaler) (PolicyScore, error) {
-		res, err := sim.Run(testQ, p, simCfg)
-		if err != nil {
-			return PolicyScore{}, err
-		}
-		return PolicyScore{
-			HitRate:          round6(res.HitRate()),
-			RTAvg:            round6(res.RTAvg()),
-			RTP95:            round6(res.RTQuantile(0.95)),
-			RelativeCost:     round6(res.RelativeCost()),
-			InstancesCreated: res.InstancesCreated,
-		}, nil
-	}
-	if score.Robust, err = replay(robust); err != nil {
-		return nil, fmt.Errorf("scenario %s: robust replay: %w", tr.Name, err)
-	}
-	if score.BP, err = replay(&scaler.BP{B: sc.BPSize}); err != nil {
-		return nil, fmt.Errorf("scenario %s: BP replay: %w", tr.Name, err)
-	}
-	if score.AdapBP, err = replay(scaler.NewAdapBP(sc.AdapFactor)); err != nil {
-		return nil, fmt.Errorf("scenario %s: AdapBP replay: %w", tr.Name, err)
-	}
-
-	score.Checks = evaluate(score)
-	score.OK = true
-	for _, c := range score.Checks {
-		if !c.OK {
-			score.OK = false
-		}
-	}
+	score.Checks, score.OK = evaluate(score)
 	return score, nil
 }
 
 // RunCorpus runs every scenario and assembles the scorecard. Envelope
 // misses do not abort the corpus — the report records them and
-// EnvelopesOK goes false, which cmd/scenario turns into a non-zero
+// EnvelopesOK goes false, which cmd/scorecard turns into a non-zero
 // exit.
 func RunCorpus(corpus []Scenario, baseSeed int64, quick bool) (*Report, error) {
 	rep := &Report{Quick: quick, Seed: baseSeed, EnvelopesOK: true}
@@ -379,44 +407,60 @@ func RunCorpus(corpus []Scenario, baseSeed int64, quick bool) (*Report, error) {
 	return rep, nil
 }
 
+// checks accumulates evaluated envelope bounds; a zero bound skips its
+// check.
+type checks []Check
+
+func (c *checks) atMost(name string, v, bound float64) {
+	if bound > 0 {
+		*c = append(*c, Check{Name: name, Value: round6(v), Bound: bound, OK: v <= bound})
+	}
+}
+
+func (c *checks) atLeast(name string, v, bound float64) {
+	if bound > 0 {
+		*c = append(*c, Check{Name: name, Value: round6(v), Bound: bound, OK: v >= bound})
+	}
+}
+
+// verdict returns the evaluated checks and whether all of them held.
+func (c checks) verdict() ([]Check, bool) {
+	for _, ch := range c {
+		if !ch.OK {
+			return c, false
+		}
+	}
+	return c, true
+}
+
 // evaluate applies the envelope to the scores.
-func evaluate(s *Score) []Check {
+func evaluate(s *Score) ([]Check, bool) {
 	e := s.Envelope
-	var checks []Check
-	atMost := func(name string, v, bound float64) {
-		if bound > 0 {
-			checks = append(checks, Check{Name: name, Value: round6(v), Bound: bound, OK: v <= bound})
-		}
-	}
-	atLeast := func(name string, v, bound float64) {
-		if bound > 0 {
-			checks = append(checks, Check{Name: name, Value: round6(v), Bound: bound, OK: v >= bound})
-		}
-	}
+	var c checks
 	if s.Forecast != nil {
-		atMost("forecast_wape", s.Forecast.WAPE, e.MaxWAPE)
-		atMost("forecast_pinball90", s.Forecast.Pinball90, e.MaxPinball90)
+		c.atMost("forecast_wape", s.Forecast.WAPE, e.MaxWAPE)
+		c.atMost("forecast_pinball90", s.Forecast.Pinball90, e.MaxPinball90)
 	}
-	atLeast("detected_period_seconds", s.PeriodSeconds, e.MinPeriodSeconds)
-	atMost("detected_period_seconds", s.PeriodSeconds, e.MaxPeriodSeconds)
-	atLeast("robust_hit_rate", s.Robust.HitRate, e.MinHitRate)
-	atMost("robust_relative_cost", s.Robust.RelativeCost, e.MaxRelativeCost)
+	c.atLeast("detected_period_seconds", s.PeriodSeconds, e.MinPeriodSeconds)
+	c.atMost("detected_period_seconds", s.PeriodSeconds, e.MaxPeriodSeconds)
+	c.atLeast("robust_hit_rate", s.Robust.HitRate, e.MinHitRate)
+	c.atMost("robust_relative_cost", s.Robust.RelativeCost, e.MaxRelativeCost)
 	if e.MinHitVsAdapBP != 0 {
 		d := s.Robust.HitRate - s.AdapBP.HitRate
-		checks = append(checks, Check{Name: "hit_vs_adapbp", Value: round6(d), Bound: e.MinHitVsAdapBP, OK: d >= e.MinHitVsAdapBP})
+		c = append(c, Check{Name: "hit_vs_adapbp", Value: round6(d), Bound: e.MinHitVsAdapBP, OK: d >= e.MinHitVsAdapBP})
 	}
 	if e.MaxCostVsAdapBP > 0 && s.AdapBP.RelativeCost > 0 {
 		r := s.Robust.RelativeCost / s.AdapBP.RelativeCost
-		checks = append(checks, Check{Name: "cost_vs_adapbp", Value: round6(r), Bound: e.MaxCostVsAdapBP, OK: r <= e.MaxCostVsAdapBP})
+		c = append(c, Check{Name: "cost_vs_adapbp", Value: round6(r), Bound: e.MaxCostVsAdapBP, OK: r <= e.MaxCostVsAdapBP})
 	}
 	if e.MinRetrainGain > 0 {
 		v, refitted := 0.0, false
 		if s.Retrain != nil {
 			v, refitted = s.Retrain.Gain, s.Retrain.Refitted
 		}
-		checks = append(checks, Check{Name: "retrain_gain", Value: round6(v), Bound: e.MinRetrainGain, OK: refitted && v >= e.MinRetrainGain})
+		c = append(c, Check{Name: "retrain_gain", Value: round6(v), Bound: e.MinRetrainGain, OK: refitted && v >= e.MinRetrainGain})
 	}
-	return checks
+	return c.verdict()
 }
 
 // forecastScore reads the engine's forecast over [from, to) and scores
@@ -442,8 +486,11 @@ func forecastScore(eng *engine.Engine, from, to float64, actual *timeseries.Seri
 			absErr1h += diff
 			act1h += a
 		}
-		pin50 += pinball(a, poissonQuantile(pred, 0.5), 0.5)
-		pin90 += pinball(a, poissonQuantile(pred, 0.9), 0.9)
+		// The count forecast at quantile q, bin counts being Poisson
+		// under the fitted NHPP.
+		counts := stats.Poisson{Lambda: pred}
+		pin50 += pinball(a, float64(counts.Quantile(0.5)), 0.5)
+		pin90 += pinball(a, float64(counts.Quantile(0.9)), 0.9)
 	}
 	fc := &ForecastScore{Bins: n}
 	if act > 0 {
@@ -467,29 +514,6 @@ func pinball(actual, predicted, q float64) float64 {
 	return (q - 1) * u
 }
 
-// poissonQuantile returns the smallest k with P(X ≤ k) ≥ q for
-// X ~ Poisson(lambda) — the count forecast at quantile q when bin
-// counts follow the fitted NHPP.
-func poissonQuantile(lambda, q float64) float64 {
-	if lambda <= 0 {
-		return 0
-	}
-	p := stats.Poisson{Lambda: lambda}
-	// Start a few sigmas below the mean and scan; bin means in the corpus
-	// are O(10²), so the scan is short.
-	k := int(lambda - 10*math.Sqrt(lambda) - 2)
-	if k < 0 {
-		k = 0
-	}
-	for p.CDF(k) < q {
-		k++
-	}
-	for k > 0 && p.CDF(k-1) >= q {
-		k--
-	}
-	return float64(k)
-}
-
 // splitIndex returns the first index of sorted arr at or after t.
 func splitIndex(arr []float64, t float64) int {
 	lo, hi := 0, len(arr)
@@ -509,15 +533,6 @@ func clipQueries(qs []sim.Query, end float64) []sim.Query {
 	out := qs
 	for len(out) > 0 && out[len(out)-1].Arrival >= end {
 		out = out[:len(out)-1]
-	}
-	return out
-}
-
-// arrivalsOf projects arrival epochs.
-func arrivalsOf(qs []sim.Query) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = q.Arrival
 	}
 	return out
 }

@@ -5,9 +5,10 @@ package server
 //	GET /v1/workloads/{id}/config   the workload's current EngineConfig
 //	PUT /v1/workloads/{id}/config   update any subset of its fields
 //
-// PUT is a merge: fields present in the body replace the current
-// values, fields absent keep them, and unknown fields are a 400 (a
-// typo'd knob must not silently no-op). The optional "version" field is
+// PUT is a merge and accepts any subset of the GET document: fields
+// present in the body replace the current values, fields absent keep
+// them, and unknown fields are a 400 (a typo'd knob must not silently
+// no-op). The optional "version" field is
 // an optimistic-concurrency token — when present it must match the
 // workload's current config version or the update is rejected with 409,
 // so two operators editing the same workload cannot silently stomp each
@@ -22,7 +23,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
 
 	"robustscaler/internal/engine"
 )
@@ -31,144 +34,34 @@ import (
 // scalars, so anything past 1 MiB is garbage or an attack.
 const maxConfigBytes = 1 << 20
 
-// configUpdate is the PUT body: pointer fields distinguish "absent"
-// (keep the current value) from an explicit zero.
-type configUpdate struct {
-	Version       *int64           `json:"version"`
-	Dt            *float64         `json:"dt"`
-	Pending       *float64         `json:"pending"`
-	HistoryWindow *float64         `json:"history_window"`
-	MCSamples     *int             `json:"mc_samples"`
-	HPTarget      *float64         `json:"hp_target"`
-	RTTarget      *float64         `json:"rt_target"`
-	CostTarget    *float64         `json:"cost_target"`
-	PlanHorizon   *float64         `json:"plan_horizon"`
-	RetrainEvery  *float64         `json:"retrain_every"`
-	Train         *trainUpdate     `json:"train"`
-	Autoscale     *autoscaleUpdate `json:"autoscale"`
-}
-
-// trainUpdate is the nested train-knobs merge: like the top level,
-// pointer fields distinguish "absent" from an explicit zero, so a PUT
-// can reset one knob to the fleet default (0) without touching the
-// others.
-type trainUpdate struct {
-	ADMMMaxIter        *int       `json:"admm_max_iter"`
-	ADMMTol            *float64   `json:"admm_tol"`
-	DisableWarmStart   *bool      `json:"disable_warm_start"`
-	DisablePeriodicity *bool      `json:"disable_periodicity"`
-	CandidatePeriods   *[]float64 `json:"candidate_periods"`
-}
-
-// autoscaleUpdate is the nested autoscale-knobs merge: pointer fields
-// distinguish "absent" from an explicit zero, so a PUT can reset one
-// behavior to its default (0) without touching the others. Unknown keys
-// inside it are 400s like everywhere else — the decoder's
-// DisallowUnknownFields applies to nested objects too.
-type autoscaleUpdate struct {
-	Enabled                       *bool    `json:"enabled"`
-	MinReplicas                   *int     `json:"min_replicas"`
-	MaxReplicas                   *int     `json:"max_replicas"`
-	Target                        *float64 `json:"target"`
-	LeadSeconds                   *float64 `json:"lead_seconds"`
-	IntervalSeconds               *float64 `json:"interval_seconds"`
-	ScaleUpMaxStep                *int     `json:"scale_up_max_step"`
-	ScaleDownMaxStep              *int     `json:"scale_down_max_step"`
-	ScaleDownStabilizationSeconds *float64 `json:"scale_down_stabilization_seconds"`
-	ScaleDownCooldownSeconds      *float64 `json:"scale_down_cooldown_seconds"`
-}
-
-// merge applies the update over cur and returns the result: fields
-// present in the update replace the current values, absent fields keep
-// them. Shared by the single-workload PUT and the bulk admin endpoint,
-// so "what a partial config document means" has exactly one
-// definition. Pure — validation and the version CAS happen inside
-// Engine.SetEngineConfig.
-func (u *configUpdate) merge(cur engine.EngineConfig) engine.EngineConfig {
-	merged := cur
-	if u.Dt != nil {
-		merged.Dt = *u.Dt
+// mergeConfig decodes a partial config document over cur and returns the
+// result: encoding/json leaves fields the document does not name alone,
+// so engine.EngineConfig is the only schema and every knob it has is
+// settable. Shared by the single-workload PUT and the bulk admin
+// endpoint, so "what a partial config document means" has exactly one
+// definition. version is the document's explicit "version" (the CAS
+// token), nil when absent; the returned config keeps cur's. Validation
+// and the version CAS happen inside Engine.SetEngineConfig.
+func mergeConfig(doc io.Reader, cur engine.EngineConfig) (merged engine.EngineConfig, version *int64, err error) {
+	// cur is a shallow copy of the live config: decode into a private
+	// backing array, never the one the engine still reads.
+	cur.Train.CandidatePeriods = slices.Clone(cur.Train.CandidatePeriods)
+	// The outer Version shadows EngineConfig's, so "version" lands in the
+	// pointer (absent vs explicit 0) and everything else in cur.
+	target := struct {
+		Version *int64 `json:"version"`
+		*engine.EngineConfig
+	}{EngineConfig: &cur}
+	dec := json.NewDecoder(doc)
+	dec.DisallowUnknownFields() // a typo'd knob must not silently no-op
+	if err := dec.Decode(&target); err != nil {
+		return engine.EngineConfig{}, nil, err
 	}
-	if u.Pending != nil {
-		merged.Pending = *u.Pending
+	if len(cur.Train.CandidatePeriods) == 0 {
+		// "candidate_periods": [] resets the knob to the unrestricted default.
+		cur.Train.CandidatePeriods = nil
 	}
-	if u.HistoryWindow != nil {
-		merged.HistoryWindow = *u.HistoryWindow
-	}
-	if u.MCSamples != nil {
-		merged.MCSamples = *u.MCSamples
-	}
-	if u.HPTarget != nil {
-		merged.HPTarget = *u.HPTarget
-	}
-	if u.RTTarget != nil {
-		merged.RTTarget = *u.RTTarget
-	}
-	if u.CostTarget != nil {
-		merged.CostTarget = *u.CostTarget
-	}
-	if u.PlanHorizon != nil {
-		merged.PlanHorizon = *u.PlanHorizon
-	}
-	if u.RetrainEvery != nil {
-		merged.RetrainEvery = *u.RetrainEvery
-	}
-	if u.Train != nil {
-		if u.Train.ADMMMaxIter != nil {
-			merged.Train.ADMMMaxIter = *u.Train.ADMMMaxIter
-		}
-		if u.Train.ADMMTol != nil {
-			merged.Train.ADMMTol = *u.Train.ADMMTol
-		}
-		if u.Train.DisableWarmStart != nil {
-			merged.Train.DisableWarmStart = *u.Train.DisableWarmStart
-		}
-		if u.Train.DisablePeriodicity != nil {
-			merged.Train.DisablePeriodicity = *u.Train.DisablePeriodicity
-		}
-		if u.Train.CandidatePeriods != nil {
-			// Copy, and keep an explicit [] as nil: "candidate_periods": []
-			// resets the knob to the unrestricted default.
-			if len(*u.Train.CandidatePeriods) == 0 {
-				merged.Train.CandidatePeriods = nil
-			} else {
-				merged.Train.CandidatePeriods = append([]float64(nil), (*u.Train.CandidatePeriods)...)
-			}
-		}
-	}
-	if u.Autoscale != nil {
-		if u.Autoscale.Enabled != nil {
-			merged.Autoscale.Enabled = *u.Autoscale.Enabled
-		}
-		if u.Autoscale.MinReplicas != nil {
-			merged.Autoscale.MinReplicas = *u.Autoscale.MinReplicas
-		}
-		if u.Autoscale.MaxReplicas != nil {
-			merged.Autoscale.MaxReplicas = *u.Autoscale.MaxReplicas
-		}
-		if u.Autoscale.Target != nil {
-			merged.Autoscale.Target = *u.Autoscale.Target
-		}
-		if u.Autoscale.LeadSeconds != nil {
-			merged.Autoscale.LeadSeconds = *u.Autoscale.LeadSeconds
-		}
-		if u.Autoscale.IntervalSeconds != nil {
-			merged.Autoscale.IntervalSeconds = *u.Autoscale.IntervalSeconds
-		}
-		if u.Autoscale.ScaleUpMaxStep != nil {
-			merged.Autoscale.ScaleUpMaxStep = *u.Autoscale.ScaleUpMaxStep
-		}
-		if u.Autoscale.ScaleDownMaxStep != nil {
-			merged.Autoscale.ScaleDownMaxStep = *u.Autoscale.ScaleDownMaxStep
-		}
-		if u.Autoscale.ScaleDownStabilizationSeconds != nil {
-			merged.Autoscale.ScaleDownStabilizationSeconds = *u.Autoscale.ScaleDownStabilizationSeconds
-		}
-		if u.Autoscale.ScaleDownCooldownSeconds != nil {
-			merged.Autoscale.ScaleDownCooldownSeconds = *u.Autoscale.ScaleDownCooldownSeconds
-		}
-	}
-	return merged
+	return cur, target.Version, nil
 }
 
 func (s *Server) handleConfigGet(w http.ResponseWriter, _ *http.Request, e *engine.Engine) {
@@ -176,20 +69,18 @@ func (s *Server) handleConfigGet(w http.ResponseWriter, _ *http.Request, e *engi
 }
 
 func (s *Server) handleConfigPut(w http.ResponseWriter, r *http.Request, e *engine.Engine) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxConfigBytes))
-	dec.DisallowUnknownFields()
-	var u configUpdate
-	if err := dec.Decode(&u); err != nil {
+	cur := e.EngineConfig()
+	merged, version, err := mergeConfig(http.MaxBytesReader(w, r.Body, maxConfigBytes), cur)
+	if err != nil {
 		http.Error(w, "bad config JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	cur := e.EngineConfig()
-	if u.Version != nil && *u.Version != cur.Version {
+	if version != nil && *version != cur.Version {
 		http.Error(w, fmt.Sprintf("config version conflict: update carries version %d, current is %d; re-read and retry",
-			*u.Version, cur.Version), http.StatusConflict)
+			*version, cur.Version), http.StatusConflict)
 		return
 	}
-	applied, err := e.SetEngineConfig(u.merge(cur))
+	applied, err := e.SetEngineConfig(merged)
 	if err != nil {
 		if errors.Is(err, engine.ErrConflict) {
 			// A concurrent update landed between our read and the swap.

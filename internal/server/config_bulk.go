@@ -8,9 +8,10 @@ package server
 // request. Targets are an explicit workload list, a path.Match glob
 // over the registered workload IDs, or both (the union). The merge
 // document is the same shape PUT /v1/workloads/{id}/config accepts and
-// flows through exactly the same path per workload — configUpdate
-// merge, then Engine.SetEngineConfig validation and version CAS — so a
-// bulk update can not do anything a loop of single PUTs could not.
+// flows through exactly the same path per workload — mergeConfig over
+// the workload's current config, then Engine.SetEngineConfig validation
+// and version CAS — so a bulk update can not do anything a loop of
+// single PUTs could not.
 //
 // The one deliberate difference: the per-workload "version" CAS token
 // is rejected here (400). One version number cannot be a valid base
@@ -85,14 +86,14 @@ func (s *Server) handleBulkConfig(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bulk config needs a \"config\" merge document", http.StatusBadRequest)
 		return
 	}
-	var u configUpdate
-	cdec := json.NewDecoder(bytes.NewReader(req.Config))
-	cdec.DisallowUnknownFields()
-	if err := cdec.Decode(&u); err != nil {
+	// Vet the document once, against a blank base, so a malformed one
+	// fails the request instead of every workload.
+	_, version, err := mergeConfig(bytes.NewReader(req.Config), engine.EngineConfig{})
+	if err != nil {
 		http.Error(w, "bad config JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if u.Version != nil {
+	if version != nil {
 		http.Error(w, "\"version\" is a per-workload CAS token and not valid in a bulk update; use PUT /v1/workloads/{id}/config",
 			http.StatusBadRequest)
 		return
@@ -127,7 +128,11 @@ func (s *Server) handleBulkConfig(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp.Matched++
-		applied, err := e.SetEngineConfig(u.merge(e.EngineConfig()))
+		merged, _, err := mergeConfig(bytes.NewReader(req.Config), e.EngineConfig())
+		var applied engine.EngineConfig
+		if err == nil {
+			applied, err = e.SetEngineConfig(merged)
+		}
 		if err != nil {
 			code := http.StatusBadRequest
 			if errors.Is(err, engine.ErrConflict) {

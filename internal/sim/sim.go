@@ -24,6 +24,16 @@ type Query struct {
 	Service float64
 }
 
+// Arrivals projects the queries' arrival epochs — the form the model
+// side (binning, engine ingest) consumes.
+func Arrivals(qs []Query) []float64 {
+	out := make([]float64, len(qs))
+	for i, q := range qs {
+		out[i] = q.Arrival
+	}
+	return out
+}
+
 // Autoscaler is the policy interface. The simulator calls Init once,
 // OnTick on every planning boundary (Config.TickInterval), and OnArrival
 // after each query has been matched to an instance.
@@ -234,6 +244,22 @@ func (c *Context) DeleteIdle(n int) int {
 		deleted++
 	}
 	return deleted
+}
+
+// Reconcile brings the committed pool (AvailableCount) to target, the
+// actuation step of every pool-model policy: short, it schedules the
+// difference now; over, it cancels scheduled creations first (they cost
+// nothing yet) and deletes created instances for the rest.
+func (c *Context) Reconcile(target int) {
+	have := c.AvailableCount()
+	for i := have; i < target; i++ {
+		c.Schedule(c.now)
+	}
+	if excess := have - target; excess > 0 {
+		if excess -= c.CancelScheduled(excess); excess > 0 {
+			c.DeleteIdle(excess)
+		}
+	}
 }
 
 // retire accounts an instance's lifecycle cost [createdAt, until].

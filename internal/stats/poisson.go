@@ -38,6 +38,27 @@ func (p Poisson) CDF(k int) float64 {
 	return RegIncGammaQ(float64(k)+1, p.Lambda)
 }
 
+// Quantile returns the smallest k with P(X ≤ k) ≥ q: the count the
+// process stays at or below with probability q. It scans the CDF from
+// ten standard deviations below the mean, so it needs a finite λ and
+// q < 1 (no finite k reaches probability 1); λ ≤ 0 yields 0.
+func (p Poisson) Quantile(q float64) int {
+	if p.Lambda <= 0 {
+		return 0
+	}
+	k := int(p.Lambda - 10*math.Sqrt(p.Lambda) - 2)
+	if k < 0 {
+		k = 0
+	}
+	for p.CDF(k) < q {
+		k++
+	}
+	for k > 0 && p.CDF(k-1) >= q {
+		k--
+	}
+	return k
+}
+
 // Sample draws one variate. It uses Knuth inversion for small λ and the
 // PTRS transformed-rejection method (Hörmann 1993) for λ ≥ 10, giving O(1)
 // expected time at any rate — important because the Fig. 8 scalability

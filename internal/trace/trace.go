@@ -60,20 +60,12 @@ func (t *Trace) rangeQueries(a, b float64) []sim.Query {
 // CountSeries bins the full trace's arrivals into counts with the given
 // Δt (seconds).
 func (t *Trace) CountSeries(dt float64) *timeseries.Series {
-	arr := make([]float64, len(t.Queries))
-	for i, q := range t.Queries {
-		arr[i] = q.Arrival
-	}
-	return timeseries.FromArrivals(arr, t.Start, t.End, dt)
+	return timeseries.FromArrivals(sim.Arrivals(t.Queries), t.Start, t.End, dt)
 }
 
 // TrainCountSeries bins only the training portion.
 func (t *Trace) TrainCountSeries(dt float64) *timeseries.Series {
-	arr := []float64{}
-	for _, q := range t.Train() {
-		arr = append(arr, q.Arrival)
-	}
-	return timeseries.FromArrivals(arr, t.Start, t.TrainEnd, dt)
+	return timeseries.FromArrivals(sim.Arrivals(t.Train()), t.Start, t.TrainEnd, dt)
 }
 
 // Clone deep-copies the trace.

@@ -40,20 +40,23 @@
 // engine.Registry maps workload IDs to per-workload Engines (ingest →
 // train → plan) with sharded locking and a RetrainAll worker-pool sweep.
 //
-// The subsystems (NHPP trainer, decision solvers, simulator, baseline
-// policies, trace generators) are exposed under internal/ and re-exported
-// here only where a downstream user needs them.
+// This package is a re-export: it defines no training or policy logic. The
+// training core lives in internal/train, the policies (RobustScaler
+// variants, baselines, the retraining wrapper) in internal/scaler and the
+// replay simulator in internal/sim; the names below are type aliases and
+// thin constructors over them, kept only where a downstream user needs
+// them. Nothing under internal/ imports this package.
 package robustscaler
 
 import (
 	"fmt"
 
 	"robustscaler/internal/nhpp"
-	"robustscaler/internal/periodicity"
 	"robustscaler/internal/scaler"
 	"robustscaler/internal/sim"
 	"robustscaler/internal/stats"
 	"robustscaler/internal/timeseries"
+	"robustscaler/internal/train"
 )
 
 // Query is one unit of work: arrival epoch and service duration, seconds.
@@ -88,110 +91,64 @@ func CountsFromArrivals(arrivals []float64, start, end, dt float64) *timeseries.
 }
 
 // TrainConfig controls model training.
-type TrainConfig struct {
-	// WinsorK clips count outliers beyond K robust standard deviations
-	// before fitting; ≤0 disables. This is the robust-decomposition guard
-	// in front of the likelihood.
-	WinsorK float64
-	// DetectPeriodicity runs the periodicity detector and enables the DL
-	// regularization term when a cycle is found.
-	DetectPeriodicity bool
-	// Periodicity tunes the detector (used when DetectPeriodicity).
-	Periodicity periodicity.Options
-	// Fit tunes the ADMM trainer. Fit.Period is overwritten by detection
-	// when DetectPeriodicity is on.
-	Fit nhpp.FitConfig
-}
+type TrainConfig = train.Config
 
 // DefaultTrainConfig returns the configuration used across the paper
 // experiments: outlier clipping at 6 robust sigmas, periodicity detection
 // with hour-scale aggregation, and the default ADMM settings.
-func DefaultTrainConfig() TrainConfig {
-	p := periodicity.DefaultOptions()
-	return TrainConfig{
-		WinsorK:           6,
-		DetectPeriodicity: true,
-		Periodicity:       p,
-		Fit:               nhpp.DefaultFitConfig(),
-	}
-}
+func DefaultTrainConfig() TrainConfig { return train.DefaultConfig() }
 
 // Model is a trained arrival model: an NHPP whose intensity extrapolates
-// periodically beyond the training window. It implements the forecast
-// role of the pipeline and is the input to the policy constructors.
-type Model struct {
-	// NHPP is the fitted process; it satisfies the intensity interface
-	// used by the decision solvers.
-	NHPP *nhpp.Model
-	// PeriodBins is the detected period in training bins (0 = none).
-	PeriodBins int
-	// PeriodSeconds is the detected period in seconds (0 = none).
-	PeriodSeconds float64
-	// FitStats reports ADMM convergence diagnostics.
-	FitStats nhpp.FitStats
-}
+// periodically beyond the training window. It is the input to the policy
+// constructors.
+type Model = train.Model
 
 // Train fits the NHPP arrival model to a count series, running the full
 // pipeline of the paper's Fig. 2: periodicity detection → regularized
 // likelihood → ADMM.
 func Train(counts *timeseries.Series, cfg TrainConfig) (*Model, error) {
-	return TrainWarm(counts, cfg, nil)
+	return train.Fit(counts, cfg)
 }
 
-// TrainWarm is Train with an optional warm start: warm is a previous
-// model's ADMM solution (Model.NHPP.WarmState()), used as the starting
-// iterate when it is compatible with this fit's grid, detected period
-// and penalties. Incompatible or nil warm states silently run cold;
-// Model.FitStats.WarmStarted reports which path ran. Training is
-// strictly convex, so warm and cold starts agree up to the solver
-// tolerance — warm starting changes the cost of a refit, not its result.
+// TrainWarm is Train seeded from a previous model's ADMM solution
+// (Model.NHPP.WarmState()); incompatible or nil warm states run cold.
 func TrainWarm(counts *timeseries.Series, cfg TrainConfig, warm *nhpp.WarmState) (*Model, error) {
-	if counts == nil || counts.Len() == 0 {
-		return nil, fmt.Errorf("robustscaler: empty count series")
-	}
-	// Detect periodicity first (the detector clips outliers internally),
-	// then apply the seasonal-aware robust clipping: one-off anomalies are
-	// removed relative to the same phase of other cycles, while recurring
-	// spikes — legitimate load the autoscaler must provision for — are
-	// preserved.
-	fit := cfg.Fit
-	if cfg.DetectPeriodicity {
-		if res, ok := periodicity.Detect(counts, cfg.Periodicity); ok {
-			fit.Period = res.Period
-		} else {
-			fit.Period = 0
-		}
-	}
-	work := counts.Clone()
-	if cfg.WinsorK > 0 {
-		if fit.Period > 0 {
-			work.WinsorizeMADSeasonal(fit.Period, cfg.WinsorK)
-		} else {
-			work.WinsorizeMAD(cfg.WinsorK)
-		}
-	}
-	m, st, err := nhpp.FitWarm(work.Start, work.Dt, work.Values, fit, warm)
-	if err != nil {
-		return nil, fmt.Errorf("robustscaler: training failed: %w", err)
-	}
-	out := &Model{NHPP: m, PeriodBins: m.Period, FitStats: st}
-	if m.Period > 0 {
-		out.PeriodSeconds = float64(m.Period) * work.Dt
-	}
-	return out, nil
+	return train.FitWarm(counts, cfg, warm)
 }
 
-// Rate returns the modeled (or extrapolated) intensity λ(t), queries/s.
-func (m *Model) Rate(t float64) float64 { return m.NHPP.Rate(t) }
+// FitWindow fits a model on the trailing window seconds of the series
+// (the whole series when window ≤ 0).
+func FitWindow(series *timeseries.Series, window float64, cfg TrainConfig) (*Model, error) {
+	return train.FitWindow(series, window, cfg)
+}
+
+// FitWindowWarm is FitWindow seeded from a previous model's ADMM
+// solution (see TrainWarm).
+func FitWindowWarm(series *timeseries.Series, window float64, cfg TrainConfig, warm *nhpp.WarmState) (*Model, error) {
+	return train.FitWindowWarm(series, window, cfg, warm)
+}
+
+// RetrainConfig controls online model refreshing during a replay: the
+// refit period, the trailing training window and the training
+// configuration.
+type RetrainConfig = scaler.RetrainConfig
+
+// PolicyBuilder constructs the inner autoscaling policy from a model —
+// typically a closure over NewHPPolicy / NewRTPolicy / NewCostPolicy.
+type PolicyBuilder = scaler.PolicyBuilder
+
+// NewRetrainingPolicy wraps build's policy with periodic retraining. seed
+// is the count series the first model is trained on; arrivals observed
+// during the replay extend a private copy of it.
+func NewRetrainingPolicy(seed *timeseries.Series, cfg RetrainConfig, build PolicyBuilder) (Policy, error) {
+	return scaler.NewRetraining(seed, cfg, build)
+}
 
 // NewHPPolicy builds a RobustScaler-HP policy targeting hitting
 // probability target ∈ (0,1), with the given pending-time distribution,
 // planning window Δ (seconds) and RNG seed.
 func NewHPPolicy(m *Model, target float64, pending PendingDist, delta float64, seed int64) (Policy, error) {
-	if m == nil {
-		return nil, fmt.Errorf("robustscaler: nil model")
-	}
-	return scaler.NewRobustScaler(m.NHPP, scaler.RobustConfig{
+	return newRobustPolicy(m, scaler.RobustConfig{
 		Variant:    scaler.HP,
 		Alpha:      1 - target,
 		Tau:        pending,
@@ -203,10 +160,7 @@ func NewHPPolicy(m *Model, target float64, pending PendingDist, delta float64, s
 // NewRTPolicy builds a RobustScaler-RT policy: waitBudget is the allowed
 // expected waiting time d − µs (seconds, net of processing).
 func NewRTPolicy(m *Model, waitBudget float64, pending PendingDist, delta float64, seed int64) (Policy, error) {
-	if m == nil {
-		return nil, fmt.Errorf("robustscaler: nil model")
-	}
-	return scaler.NewRobustScaler(m.NHPP, scaler.RobustConfig{
+	return newRobustPolicy(m, scaler.RobustConfig{
 		Variant:    scaler.RT,
 		RTTarget:   waitBudget,
 		Tau:        pending,
@@ -218,16 +172,21 @@ func NewRTPolicy(m *Model, waitBudget float64, pending PendingDist, delta float6
 // NewCostPolicy builds a RobustScaler-cost policy: idleBudget is the
 // allowed expected idle time per instance B − µτ − µs (seconds).
 func NewCostPolicy(m *Model, idleBudget float64, pending PendingDist, delta float64, seed int64) (Policy, error) {
-	if m == nil {
-		return nil, fmt.Errorf("robustscaler: nil model")
-	}
-	return scaler.NewRobustScaler(m.NHPP, scaler.RobustConfig{
+	return newRobustPolicy(m, scaler.RobustConfig{
 		Variant:    scaler.Cost,
 		CostBudget: idleBudget,
 		Tau:        pending,
 		PlanWindow: delta,
 		Seed:       seed,
 	})
+}
+
+// newRobustPolicy builds the policy over the model's fitted intensity.
+func newRobustPolicy(m *Model, cfg scaler.RobustConfig) (Policy, error) {
+	if m == nil {
+		return nil, fmt.Errorf("robustscaler: nil model")
+	}
+	return scaler.NewRobustScaler(m.NHPP, cfg)
 }
 
 // NewBackupPool returns the Backup Pool baseline with pool size b
