@@ -876,6 +876,7 @@ func deriveRatios(rep *report, scales []int) {
 var hardFloors = map[string]float64{
 	"warm_start_speedup_x":         3,
 	"forecast_cache_hit_speedup_x": 20,
+	"plan_hp_cache_hit_speedup_x":  10,
 	"router_retained_throughput_x": 0.5,
 	// Fleet scaling floors are deliberately loose sanity checks —
 	// sharding must never LOSE throughput — because the multiples ride

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"sort"
@@ -85,6 +87,149 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPlanJSONByteCache pins the plan's rendered-bytes fast path for
+// every variant. The bytes served for a round — the streamed plan on a
+// miss, the body rendered on the first hit, the body reused on later
+// hits — equal json.Encoder's rendering of Plan's result; only keys
+// served twice hold a body; and ingest, train, a config update and a
+// restore each make the next hit re-render from the new plan.
+func TestPlanJSONByteCache(t *testing.T) {
+	const now = 4 * 3600.0
+	for _, variant := range []string{"hp", "rt", "cost"} {
+		t.Run(variant, func(t *testing.T) {
+			e := trainedEngine(t, now)
+			blob, err := e.MarshalState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := planReq(variant, now)
+			// serve returns the bytes the HTTP handler sends for req and
+			// whether they came from the byte cache.
+			serve := func(req PlanRequest) ([]byte, bool) {
+				t.Helper()
+				body, plan, err := e.PlanJSON(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (body == nil) == (plan == nil) {
+					t.Fatalf("PlanJSON returned body %v, plan %v; want exactly one", body != nil, plan != nil)
+				}
+				if body == nil {
+					return encodeJSON(t, plan), false
+				}
+				return body, true
+			}
+			// want renders Plan's (cached) result the way the handler
+			// used to on every request.
+			want := func() []byte {
+				t.Helper()
+				p, err := e.Plan(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return encodeJSON(t, p)
+			}
+
+			streamed, hit := serve(req)
+			if hit {
+				t.Fatal("first request served a cached body")
+			}
+			other := req
+			other.Horizon = 900
+			if _, hit := serve(other); hit {
+				t.Fatal("first request for a second key served a cached body")
+			}
+			if n := cachedBodies(e); n != 0 {
+				t.Fatalf("%d bodies held after first requests only; keys served once must hold none", n)
+			}
+			if !bytes.Equal(streamed, want()) {
+				t.Fatalf("streamed miss differs from encoding Plan:\n%s\nvs\n%s", streamed, want())
+			}
+			if n := cachedBodies(e); n != 0 {
+				t.Fatalf("Plan rendered %d bodies; only PlanJSON hits may", n)
+			}
+			first, hit := serve(req)
+			if !hit || !bytes.Equal(first, streamed) {
+				t.Fatalf("first hit (cached %v) differs from the streamed miss:\n%s\nvs\n%s", hit, first, streamed)
+			}
+			if n := cachedBodies(e); n != 1 {
+				t.Fatalf("%d bodies held; want 1, the key served twice", n)
+			}
+			later, hit := serve(req)
+			if !hit || &later[0] != &first[0] {
+				t.Fatal("later hit re-rendered instead of reusing the cached body")
+			}
+			original := first
+
+			prev := later
+			for _, tc := range []struct {
+				name string
+				do   func() error
+			}{
+				{"ingest", func() error {
+					_, err := e.Ingest([]float64{now + 1})
+					return err
+				}},
+				{"train", func() error {
+					_, err := e.Train()
+					return err
+				}},
+				{"config update", func() error {
+					ec := e.EngineConfig()
+					ec.Pending++
+					_, err := e.SetEngineConfig(ec)
+					return err
+				}},
+				{"restore", func() error { return e.RestoreState(blob) }},
+			} {
+				if err := tc.do(); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+				streamed, hit := serve(req)
+				if hit {
+					t.Fatalf("%s: byte cache survived", tc.name)
+				}
+				b, hit := serve(req)
+				if !hit || &b[0] == &prev[0] {
+					t.Fatalf("%s: next hit did not re-render", tc.name)
+				}
+				if w := want(); !bytes.Equal(b, w) || !bytes.Equal(b, streamed) {
+					t.Fatalf("%s: re-rendered body differs from the new plan:\n%s\nvs\n%s", tc.name, b, w)
+				}
+				prev = b
+			}
+			// The restore brought back the original state, so its plan
+			// renders the original bytes.
+			if !bytes.Equal(prev, original) {
+				t.Fatalf("restored state renders different bytes:\n%s\nvs\n%s", prev, original)
+			}
+		})
+	}
+}
+
+// encodeJSON renders v the way json.Encoder writes a response body.
+func encodeJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// cachedBodies counts the plan cache entries holding a rendered body.
+func cachedBodies(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, ent := range e.planCache {
+		if ent.body != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestPlanCacheTrainInvalidates proves a model swap (same arrivals, new

@@ -209,11 +209,11 @@ type Engine struct {
 	// model pointer, restore resets all three and a config update bumps
 	// the version (plans depend on Pending/MCSamples/...), so each
 	// invalidates the cache without touching it. Bounded by
-	// maxCachedResults; see cachedPlanLocked.
+	// maxCachedResults; see storePlan.
 	cacheGen    int64
 	cacheModel  *train.Model
 	cacheCfgVer int64
-	planCache   map[planKey]*Plan
+	planCache   map[planKey]*planEntry
 	fcCache     map[forecastKey]*forecastEntry
 
 	// m holds the workload's lifetime counters (see metrics.go). The
@@ -245,6 +245,17 @@ type planKey struct {
 // forecastKey identifies one cacheable forecast.
 type forecastKey struct {
 	from, to, step float64
+}
+
+// planEntry is one cached planning round: the plan, plus — rendered
+// lazily, on the first repeat of the key — the exact HTTP response
+// body. A key requested once holds no body: many keys are never
+// repeated (explicit-now rounds, parameter sweeps), and rendering every
+// miss would multiply the cache's memory for bytes nobody reads. plan
+// is immutable after creation; body is guarded by the engine mutex.
+type planEntry struct {
+	plan *Plan
+	body []byte
 }
 
 // maxCachedResults bounds the per-engine result cache. Dashboards
@@ -634,21 +645,52 @@ const maxTrainBins = 2_000_000
 // the variant's solver.
 //
 // Results are cached per (variant, target, horizon, now) until the next
-// ingest, train or restore, so a dashboard polling the same query is an
-// O(1) map hit instead of a horizon recomputation. Clock-anchored
-// requests (no explicit now) share a cache slot per Dt/4 of wall time —
-// the plan returned may be anchored up to Dt/4 seconds in the past,
-// which is below the planning grid's own resolution; pass an explicit
-// now for exact anchoring. The returned Plan is shared with the cache
-// and must be treated as read-only.
+// ingest, train, restore or config update, so a dashboard polling the
+// same query is an O(1) map hit instead of a horizon recomputation.
+// Clock-anchored requests (no explicit now) share a cache slot per Dt/4
+// of wall time — the plan returned may be anchored up to Dt/4 seconds
+// in the past, which is below the planning grid's own resolution; pass
+// an explicit now for exact anchoring. The returned Plan is shared with
+// the cache and must be treated as read-only. PlanJSON serves the same
+// rounds, from the same cache, as response bytes.
 func (e *Engine) Plan(req PlanRequest) (*Plan, error) {
+	ent, _, err := e.plan(req)
+	if err != nil {
+		return nil, err
+	}
+	return ent.plan, nil
+}
+
+// PlanJSON is Plan for the HTTP surface. On a cache hit it returns the
+// rendered response body (the plan JSON, newline-terminated —
+// byte-identical to json.Encoder output), rendering it on the first
+// hit and reusing it after, so a polled round costs a map lookup and
+// one Write. On a miss it returns the plan instead, for the caller to
+// stream: a round's body is kept only once its key is served a second
+// time. Exactly one of body and plan is non-nil when err is nil.
+func (e *Engine) PlanJSON(req PlanRequest) (body []byte, plan *Plan, err error) {
+	ent, hit, err := e.plan(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !hit {
+		return nil, ent.plan, nil
+	}
+	body, err = e.renderBody(&ent.body, ent.plan)
+	return body, nil, err
+}
+
+// plan returns the cache entry for req, computing and (world
+// permitting) caching it on a miss, and reports whether it was a hit.
+// Every call counts exactly one plan cache hit or miss.
+func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 	e.mu.Lock()
 	model := e.model
 	gen := e.gen
 	ec := e.ec
 	e.mu.Unlock()
 	if model == nil {
-		return nil, ErrNoModel
+		return nil, false, ErrNoModel
 	}
 	variant := req.Variant
 	if variant == "" {
@@ -664,7 +706,7 @@ func (e *Engine) Plan(req PlanRequest) (*Plan, error) {
 	// eventually poisons the decision horizon into an index panic.
 	for _, v := range []float64{now, target, horizon} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: non-finite plan parameter", ErrInvalid)
+			return nil, false, fmt.Errorf("%w: non-finite plan parameter", ErrInvalid)
 		}
 	}
 
@@ -673,12 +715,12 @@ func (e *Engine) Plan(req PlanRequest) (*Plan, error) {
 	switch variant {
 	case "hp":
 		if target <= 0 || target >= 1 {
-			return nil, fmt.Errorf("%w: hp target must be in (0,1)", ErrInvalid)
+			return nil, false, fmt.Errorf("%w: hp target must be in (0,1)", ErrInvalid)
 		}
 		alpha = 1 - target
 	case "rt", "cost":
 	default:
-		return nil, fmt.Errorf("%w: unknown variant %q", ErrInvalid, variant)
+		return nil, false, fmt.Errorf("%w: unknown variant %q", ErrInvalid, variant)
 	}
 
 	keyNow := now
@@ -687,12 +729,12 @@ func (e *Engine) Plan(req PlanRequest) (*Plan, error) {
 		keyNow = math.Floor(now/q) * q
 	}
 	key := planKey{variant: variant, target: target, horizon: horizon, now: keyNow, hasNow: req.HasNow}
-	if p, ok := e.cachedPlan(gen, model, ec.Version, key); ok {
+	if ent, ok := e.cachedPlan(gen, model, ec.Version, key); ok {
 		e.m.planHits.Inc()
 		if f := e.fleet; f != nil {
 			f.planHits.Inc()
 		}
-		return p, nil
+		return ent, true, nil
 	}
 	e.m.planMisses.Inc()
 	if f := e.fleet; f != nil {
@@ -750,27 +792,28 @@ planLoop:
 		}
 		resp.Plan = append(resp.Plan, PlanEntry{QueryIndex: i, CreateAt: x, LeadSecs: x - now})
 	}
-	e.storePlan(gen, model, ec.Version, key, resp)
-	return resp, nil
+	ent := &planEntry{plan: resp}
+	e.storePlan(gen, model, ec.Version, key, ent)
+	return ent, false, nil
 }
 
 // cachedPlan returns the cached round for key, provided the cache still
 // belongs to the (gen, model, cfgVer) the caller read.
-func (e *Engine) cachedPlan(gen int64, model *train.Model, cfgVer int64, key planKey) (*Plan, bool) {
+func (e *Engine) cachedPlan(gen int64, model *train.Model, cfgVer int64, key planKey) (*planEntry, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cacheGen != gen || e.cacheModel != model || e.cacheCfgVer != cfgVer || e.planCache == nil {
 		return nil, false
 	}
-	p, ok := e.planCache[key]
-	return p, ok
+	ent, ok := e.planCache[key]
+	return ent, ok
 }
 
 // storePlan caches a computed round unless the world moved on while it
 // was being computed (an ingest, train or config update landed
 // mid-flight) — a stale round is still correct to return once, but must
 // not be served again.
-func (e *Engine) storePlan(gen int64, model *train.Model, cfgVer int64, key planKey, p *Plan) {
+func (e *Engine) storePlan(gen int64, model *train.Model, cfgVer int64, key planKey, ent *planEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.gen != gen || e.model != model || e.ec.Version != cfgVer {
@@ -780,7 +823,7 @@ func (e *Engine) storePlan(gen int64, model *train.Model, cfgVer int64, key plan
 	if len(e.planCache) >= maxCachedResults {
 		clear(e.planCache)
 	}
-	e.planCache[key] = p
+	e.planCache[key] = ent
 }
 
 // rebindCacheLocked points the cache at (gen, model, cfgVer), dropping
@@ -792,7 +835,7 @@ func (e *Engine) rebindCacheLocked(gen int64, model *train.Model, cfgVer int64) 
 		return
 	}
 	e.cacheGen, e.cacheModel, e.cacheCfgVer = gen, model, cfgVer
-	e.planCache = make(map[planKey]*Plan)
+	e.planCache = make(map[planKey]*planEntry)
 	e.fcCache = make(map[forecastKey]*forecastEntry)
 }
 
@@ -839,22 +882,31 @@ func (e *Engine) ForecastJSON(from, to, step float64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.renderBody(&ent.body, ent.pts)
+}
+
+// renderBody returns the response body cached in *slot, rendering v
+// into it (json.Marshal plus the newline json.Encoder ends with) when
+// it is still empty. The render runs outside the lock; if two callers
+// race, the first stored body wins, so every caller serves the same
+// buffer. slot must point into a cache entry guarded by e.mu.
+func (e *Engine) renderBody(slot *[]byte, v any) ([]byte, error) {
 	e.mu.Lock()
-	body := ent.body
+	body := *slot
 	e.mu.Unlock()
 	if body != nil {
 		return body, nil
 	}
-	body, err = json.Marshal(ent.pts)
+	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	body = append(body, '\n')
 	e.mu.Lock()
-	if ent.body == nil {
-		ent.body = body
+	if *slot == nil {
+		*slot = body
 	}
-	body = ent.body
+	body = *slot
 	e.mu.Unlock()
 	return body, nil
 }

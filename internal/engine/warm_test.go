@@ -229,10 +229,11 @@ func TestForecastJSONByteCache(t *testing.T) {
 }
 
 // TestConcurrentWarmRefits drives a registry of workloads through
-// repeated ingest + RetrainAll sweeps with concurrent forecast readers —
-// the steady state of scalerd — under the race detector: warm states
-// are shared between the serving model and the refit pool, so this is
-// the test that proves the sharing is read-only.
+// repeated ingest + RetrainAll sweeps with concurrent forecast and plan
+// readers — the steady state of scalerd — under the race detector: warm
+// states are shared between the serving model and the refit pool, and
+// cached response bodies are rendered while sweeps invalidate them, so
+// this is the test that proves the sharing is safe.
 func TestConcurrentWarmRefits(t *testing.T) {
 	const now = 4 * 3600.0
 	cfg := testConfig(now)
@@ -268,6 +269,10 @@ func TestConcurrentWarmRefits(t *testing.T) {
 				default:
 				}
 				if _, err := e.ForecastJSON(now, now+1800, 60); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, _, err := e.PlanJSON(planReq("hp", now)); err != nil {
 					t.Error(err)
 					return
 				}

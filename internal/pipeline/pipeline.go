@@ -7,7 +7,7 @@
 //     state and the live replica state of whatever backend actuates it.
 //   - Analyzer is the existing NHPP fit/forecast seam — *engine.Engine
 //     satisfies it directly, so the plan/forecast bytes a rewired
-//     control plane serves are identical to calling the engine.
+//     control plane serves are the engine's own rendered bodies.
 //   - Optimizer turns the forecast into a replica recommendation with
 //     HPA-style behaviors: per-workload min/max replicas, scale-up/down
 //     rate steps, a scale-down stabilization window and a scale-down
@@ -37,12 +37,14 @@ import (
 )
 
 // Analyzer is the model seam between the control plane and the
-// pipeline: the NHPP fit/forecast surface a recommendation is computed
-// from. *engine.Engine satisfies it; tests substitute fakes.
+// pipeline: the NHPP fit/forecast surface plans, forecasts and
+// recommendations are served from. *engine.Engine satisfies it.
 type Analyzer interface {
-	// Plan computes upcoming instance creation times (the paper's
-	// per-query creation plan).
-	Plan(req engine.PlanRequest) (*engine.Plan, error)
+	// PlanJSON computes upcoming instance creation times (the paper's
+	// per-query creation plan): the rendered HTTP response body when
+	// the round was served before, otherwise the plan itself for the
+	// caller to encode.
+	PlanJSON(req engine.PlanRequest) (body []byte, plan *engine.Plan, err error)
 	// ForecastJSON renders the predicted intensity over [from, to) at
 	// the given step as the HTTP response body.
 	ForecastJSON(from, to, step float64) ([]byte, error)
@@ -111,7 +113,8 @@ type Controller struct {
 	last    *Recommendation
 	lastErr string
 	// lastDecideAt gates the background sweep against the workload's
-	// IntervalSeconds, like RetrainEvery gates the retrainer.
+	// IntervalSeconds, like RetrainEvery gates the retrainer. Only Step
+	// stamps it: served recommendations are reads.
 	lastDecideAt float64
 	hasDecided   bool
 
@@ -129,7 +132,9 @@ func (c *Controller) Workload() string { return c.id }
 // actuating it — the GET recommendation endpoint. The decision is
 // recorded in the stabilization history: a recommendation served to an
 // operator is a decision made, and the anti-flapping windows must see
-// it.
+// it. It does not restart the sweep's interval clock — only Step does —
+// so reads polled faster than interval_seconds cannot starve
+// actuation.
 func (c *Controller) Recommend() (*Recommendation, error) {
 	return c.decide(false)
 }
@@ -173,8 +178,10 @@ func (c *Controller) decide(actuate bool) (*Recommendation, error) {
 	rec.Sample = &sample
 	c.last = &rec
 	c.lastErr = ""
-	c.lastDecideAt = now
-	c.hasDecided = true
+	if actuate {
+		c.lastDecideAt = now
+		c.hasDecided = true
+	}
 	c.mu.Unlock()
 
 	if c.m != nil {
@@ -203,7 +210,7 @@ func (c *Controller) fail(err error) error {
 }
 
 // due reports whether the workload's own IntervalSeconds has passed
-// since its last decision.
+// since its last Step.
 func (c *Controller) due(now, interval float64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

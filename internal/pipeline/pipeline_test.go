@@ -377,6 +377,46 @@ func TestManagerSweepActuatesEnabledWorkloads(t *testing.T) {
 	}
 }
 
+// TestRecommendReadsDoNotStarveSweep: served recommendations are reads.
+// Polled more often than interval_seconds, they must not restart the
+// sweep's interval clock, or the background loop never finds the
+// workload due and nothing actuates.
+func TestRecommendReadsDoNotStarveSweep(t *testing.T) {
+	now := 6 * 3600.0
+	reg, e := testRegistry(t, &now)
+	mgr := NewManager(reg, nil)
+	ec := e.EngineConfig()
+	ec.Autoscale.Enabled = true
+	ec.Autoscale.IntervalSeconds = 30
+	if _, err := e.SetEngineConfig(ec); err != nil {
+		t.Fatal(err)
+	}
+	if decided, _ := mgr.SweepOnce(); decided != 1 {
+		t.Fatalf("first sweep decided %d, want 1", decided)
+	}
+	c := mgr.For("svc", e)
+	// Read every 10 s and sweep right after each read: the sweeps at
+	// +30 s and +60 s are due.
+	swept := 0
+	for i := 1; i <= 6; i++ {
+		now += 10
+		if _, err := c.Recommend(); err != nil {
+			t.Fatal(err)
+		}
+		decided, failed := mgr.SweepOnce()
+		if failed != 0 {
+			t.Fatalf("sweep at +%ds failed", 10*i)
+		}
+		if due := i%3 == 0; (decided == 1) != due {
+			t.Fatalf("sweep at +%ds decided %d, want due=%v", 10*i, decided, due)
+		}
+		swept += decided
+	}
+	if got := c.Status().Replicas.Actuations; got != uint64(1+swept) {
+		t.Fatalf("actuations = %d, want %d (every sweep that ran)", got, 1+swept)
+	}
+}
+
 func TestManagerControllerIdentityPinnedToEngine(t *testing.T) {
 	now := 6 * 3600.0
 	reg, e := testRegistry(t, &now)

@@ -308,9 +308,8 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request, e *engine.E
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, e *engine.Engine) {
-	// Model reads go through the pipeline's Analyzer seam. The engine
-	// satisfies it directly, so the response bytes are identical to the
-	// pre-pipeline path — the seam buys substitutability, not a copy.
+	// Model reads go through the pipeline's Analyzer seam, which the
+	// engine satisfies directly.
 	az := s.pipelines.For(r.PathValue("id"), e).Analyzer()
 	q := r.URL.Query()
 	req := engine.PlanRequest{Variant: q.Get("variant")}
@@ -340,12 +339,20 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, e *engine.En
 		}
 		req.HasNow = true
 	}
-	plan, err := az.Plan(req)
+	// A repeated round comes back as the engine's cached body — one
+	// Write, no re-encode. A first request streams the plan instead:
+	// the engine keeps a body only for keys served twice. Both paths
+	// send the same bytes.
+	body, plan, err := az.PlanJSON(req)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	s.writeJSON(w, plan)
+	if body == nil {
+		s.writeJSON(w, plan)
+		return
+	}
+	s.writeBody(w, body)
 }
 
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request, e *engine.Engine) {
@@ -374,19 +381,16 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request, e *engin
 		httpError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(body); err != nil {
-		s.encodeFailures.Inc()
-		log.Printf("server: writing forecast response failed (response truncated): %v", err)
-	}
+	s.writeBody(w, body)
 }
 
 // handleRecommendation runs one full Collect → Analyze → Optimize pass
 // and returns the decision with its inputs and the behavior or window
 // that clamped it. The decision is recorded in the workload's
 // stabilization history (a served recommendation is a decision the
-// anti-flapping window must see) but is not actuated — only the
-// background loop applies decisions.
+// anti-flapping window must see) but is not actuated and does not
+// delay the next background step — only the background loop applies
+// decisions.
 func (s *Server) handleRecommendation(w http.ResponseWriter, r *http.Request, e *engine.Engine) {
 	rec, err := s.pipelines.For(r.PathValue("id"), e).Recommend()
 	if err != nil {
@@ -516,6 +520,16 @@ func floatParam(raw string, def float64) (float64, error) {
 // /metrics instead of disappearing.
 func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 	s.writeJSONStatus(w, http.StatusOK, v)
+}
+
+// writeBody sends a pre-rendered 200 JSON body. A failed Write is
+// counted and logged like writeJSON's encode failures.
+func (s *Server) writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	if _, err := w.Write(body); err != nil {
+		s.encodeFailures.Inc()
+		log.Printf("server: writing response failed (response truncated): %v", err)
+	}
 }
 
 // writeJSONStatus is writeJSON with an explicit status code.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -162,6 +163,63 @@ func TestPlanVariants(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus variant status %d", resp.StatusCode)
+	}
+}
+
+// TestPlanHitServesCachedBytes pins the plan byte cache at the HTTP
+// surface: the streamed first request and the cached repeats carry the
+// same bytes and Content-Type, and each request moves the plan cache
+// counters by exactly one.
+func TestPlanHitServesCachedBytes(t *testing.T) {
+	const horizon = 4 * 3600.0
+	_, ts := newTestServer(t, horizon)
+	arr := trafficArrivals(4, horizon)
+	postJSON(t, ts.URL+"/v1/workloads/w/arrivals", map[string]any{"timestamps": arr}).Body.Close()
+	postJSON(t, ts.URL+"/v1/workloads/w/train", map[string]any{}).Body.Close()
+
+	var hits, misses float64
+	for _, q := range []string{"variant=hp&target=0.9", "variant=rt&target=2", "variant=cost&target=2"} {
+		url := fmt.Sprintf("%s/v1/workloads/w/plan?%s&horizon=600&now=%g", ts.URL, q, horizon)
+		var first []byte
+		for i := 0; i < 3; i++ { // miss, first hit (renders), later hit
+			resp := mustGet(t, url)
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s #%d: status %d", q, i, resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("%s #%d: Content-Type %q", q, i, ct)
+			}
+			if i == 0 {
+				misses++
+				first = body
+			} else {
+				hits++
+				if !bytes.Equal(body, first) {
+					t.Fatalf("%s #%d: cached body differs from the streamed miss:\n%s\nvs\n%s", q, i, body, first)
+				}
+			}
+			m := scrape(t, ts.URL)
+			if got := m["robustscaler_plan_cache_hits_total"]; got != hits {
+				t.Fatalf("%s #%d: plan cache hits %g, want %g", q, i, got, hits)
+			}
+			if got := m["robustscaler_plan_cache_misses_total"]; got != misses {
+				t.Fatalf("%s #%d: plan cache misses %g, want %g", q, i, got, misses)
+			}
+		}
+		// The bytes are json.Encoder's rendering of the plan.
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(decode[planResponse](t, mustGet(t, url))); err != nil {
+			t.Fatal(err)
+		}
+		hits++
+		if !bytes.Equal(b.Bytes(), first) {
+			t.Fatalf("%s: served bytes are not the plan's JSON encoding:\n%s\nvs\n%s", q, first, b.Bytes())
+		}
 	}
 }
 
