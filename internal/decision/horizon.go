@@ -3,9 +3,13 @@
 // (eq. 3), the RT-constrained sort-and-search (Algorithm 3 / eq. 5), the
 // cost-constrained solution (eq. 7), and the κ planning threshold (eq. 8).
 //
-// All three formulations are separable per upcoming query, so every solver
-// here takes Monte Carlo samples of a single query's arrival epoch ξ_i and
-// pending time τ_i and returns one creation time.
+// All three formulations are separable per upcoming query. The RT and cost
+// solvers, and the HP solver under a random pending time, take Monte Carlo
+// samples of a single query's arrival epoch ξ_i and pending time τ_i and
+// return one creation time. Under a deterministic pending time the HP
+// solution and κ are exact instead: they read unit-rate Gamma quantiles,
+// which depend only on the query index and the target, from a bounded
+// process-wide table (gammatable.go).
 package decision
 
 import (
@@ -113,10 +117,15 @@ func (h *Horizon) SampleArrival(rng *rand.Rand, i int) (float64, bool) {
 // QuantileArrival returns the exact p-quantile of the i-th upcoming
 // arrival epoch: Λ⁻¹(Gamma_i⁻¹(p)). Used by the fast path of the
 // HP-constrained solution when the pending time is deterministic.
+//
+// Gamma_i⁻¹(p) is read from the process-wide quantile table, which fills
+// p's row up to i on first use and serves later reads without locking or
+// allocating. The table holds at most 16 distinct p and shapes up to
+// 16,384 (2 MiB); any other (i, p) is computed directly, with the same
+// bit-identical result.
 func (h *Horizon) QuantileArrival(i int, p float64) (float64, bool) {
 	if i < 1 {
 		panic(fmt.Sprintf("decision: QuantileArrival i=%d < 1", i))
 	}
-	g := stats.Gamma{Shape: float64(i), Scale: 1}.Quantile(p)
-	return h.Invert(g)
+	return h.Invert(gammaQuantiles.quantile(i, p))
 }

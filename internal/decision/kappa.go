@@ -25,6 +25,12 @@ const kappaCap = 1 << 20
 // For a deterministic pending time the condition is evaluated exactly via
 // the Gamma quantile; otherwise by Monte Carlo with mcSamples draws of τ.
 // κ = 0 when even the first upcoming query can achieve the target.
+//
+// The exact path reads the quantiles that QuantileArrival has already
+// tabled for α and computes the rest directly without tabling them: the
+// search's doubling steps reach shapes far beyond any plan (up to
+// kappaCap), where filling the table would cost O(κ) inversions instead
+// of O(log κ). Both routes give bit-identical values.
 func Kappa(lambdaBar float64, tau stats.Dist, alpha float64, rng *rand.Rand, mcSamples int) int {
 	if lambdaBar <= 0 {
 		return 0 // no traffic: any HP target is attainable
@@ -62,8 +68,7 @@ func kappaDeterministic(lambdaBar, tauVal, alpha float64) int {
 		return 0
 	}
 	cond := func(i int) bool {
-		q := stats.Gamma{Shape: float64(i), Scale: 1}.Quantile(alpha)
-		return q/lambdaBar < tauVal
+		return gammaQuantiles.peek(i, alpha)/lambdaBar < tauVal
 	}
 	return lastTrue(cond)
 }

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"testing"
+
+	"robustscaler/internal/gen"
 )
 
 // BenchmarkEngineIngest measures steady-state ingest: in-order batches
@@ -61,4 +63,51 @@ func BenchmarkEngineIngestOutOfOrder(b *testing.B) {
 		}
 		e.Ingest(batch)
 	}
+}
+
+// BenchmarkPlanMissHP measures an hp plan cache miss in the shape of the
+// benchmark's query_steady workload: a model trained on 6 h of periodic
+// history at 0.5 qps, target 0.9, a 600 s horizon, and a fresh explicit
+// now every iteration so each plan is computed. The Gamma quantile table
+// is process-wide, so after the first iteration every miss reads it warm.
+func BenchmarkPlanMissHP(b *testing.B) {
+	const start, history = 1_700_000_000.0, 6 * gen.Hour
+	g := gen.MultiPeriodic{
+		ID:        "plan-miss",
+		Span:      gen.Frame{Start: start, End: start + history, TrainEnd: start + history, MeanPending: 13, MeanService: 5},
+		Level:     0.5,
+		Harmonics: []gen.Harmonic{{Period: 2 * gen.Hour, Amp: 0.5, Phase: 1}},
+	}
+	qs := g.Generate(71)
+	ts := make([]float64, len(qs))
+	for i, q := range qs {
+		ts[i] = q.Arrival
+	}
+	cfg := DefaultConfig()
+	cfg.Now = func() float64 { return start + history }
+	e, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Ingest(ts); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Train(); err != nil {
+		b.Fatal(err)
+	}
+	entries := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// A distinct now each iteration: always a miss. The forecast is
+		// periodic, so the plan length stays representative however far
+		// b.N walks.
+		now := start + history + float64(i)*15
+		p, err := e.Plan(PlanRequest{Variant: "hp", Target: 0.9, Horizon: 600, Now: now, HasNow: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries += len(p.Plan)
+	}
+	b.ReportMetric(float64(entries)/float64(b.N), "entries/op")
 }

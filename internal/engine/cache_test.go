@@ -578,3 +578,32 @@ func TestForecastRejectsNonFinite(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanEntriesExactSize checks the plan a miss caches: its entries
+// hold no spare capacity (the walk's growth stays in a pooled buffer),
+// and an empty round keeps the nil plan that encodes as null.
+func TestPlanEntriesExactSize(t *testing.T) {
+	const now = 4 * 3600.0
+	e := trainedEngine(t, now)
+	for _, variant := range []string{"hp", "rt"} {
+		p, err := e.Plan(planReq(variant, now))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Plan) == 0 || cap(p.Plan) != len(p.Plan) {
+			t.Fatalf("%s: %d entries, capacity %d; want a non-empty exact-size plan", variant, len(p.Plan), cap(p.Plan))
+		}
+	}
+	req := planReq("hp", now)
+	req.Horizon = -1 // every creation time falls past the window
+	p, err := e.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Plan != nil {
+		t.Fatalf("empty round has plan %v, want nil", p.Plan)
+	}
+	if body := encodeJSON(t, p); !bytes.Contains(body, []byte(`"plan":null`)) {
+		t.Fatalf("empty round encodes as %s, want \"plan\":null", body)
+	}
+}

@@ -636,6 +636,13 @@ type Plan struct {
 // maxPlanEntries bounds one planning round.
 const maxPlanEntries = 10000
 
+// planBuffers recycles the buffers planning rounds are walked into. A
+// round's length is known only at the end of the walk, so the walk grows
+// a pooled buffer and the cached plan gets one exact-size copy: a miss
+// then allocates its plan once instead of every append doubling, and the
+// cache holds no spare capacity.
+var planBuffers = sync.Pool{New: func() any { return new([]PlanEntry) }}
+
 // maxTrainBins bounds the series a fit materializes (~3.8 years of
 // minute bins).
 const maxTrainBins = 2_000_000
@@ -763,9 +770,10 @@ func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 		}
 	}
 
-	resp := &Plan{Now: now, Variant: variant, Target: target, Kappa: kappa}
+	buf := planBuffers.Get().(*[]PlanEntry)
+	entries := (*buf)[:0]
 planLoop:
-	for i := 1; len(resp.Plan) < maxPlanEntries; i++ {
+	for i := 1; len(entries) < maxPlanEntries; i++ {
 		var x float64
 		switch variant {
 		case "hp":
@@ -790,8 +798,15 @@ planLoop:
 		if x > now+horizon {
 			break
 		}
-		resp.Plan = append(resp.Plan, PlanEntry{QueryIndex: i, CreateAt: x, LeadSecs: x - now})
+		entries = append(entries, PlanEntry{QueryIndex: i, CreateAt: x, LeadSecs: x - now})
 	}
+	resp := &Plan{Now: now, Variant: variant, Target: target, Kappa: kappa}
+	if len(entries) > 0 { // an empty round keeps a nil plan: it encodes as null
+		resp.Plan = make([]PlanEntry, len(entries))
+		copy(resp.Plan, entries)
+	}
+	*buf = entries
+	planBuffers.Put(buf)
 	ent := &planEntry{plan: resp}
 	e.storePlan(gen, model, ec.Version, key, ent)
 	return ent, false, nil

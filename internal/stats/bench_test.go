@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -17,12 +18,17 @@ func BenchmarkGammaSample(b *testing.B) {
 }
 
 // BenchmarkGammaQuantile measures the Newton-refined quantile (the κ
-// computation and the exact HP path).
+// computation and the exact HP path) across the shapes an hp plan walks:
+// a short plan, a typical one, and one near the plan-length cap.
 func BenchmarkGammaQuantile(b *testing.B) {
-	g := Gamma{Shape: 25, Scale: 1}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Quantile(0.1)
+	for _, k := range []float64{25, 300, 5000} {
+		b.Run(fmt.Sprintf("shape=%g", k), func(b *testing.B) {
+			g := Gamma{Shape: k, Scale: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Quantile(0.1)
+			}
+		})
 	}
 }
 

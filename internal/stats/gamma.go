@@ -72,6 +72,7 @@ func (g Gamma) Quantile(p float64) float64 {
 			x = 1e-8
 		}
 	}
+	lg, _ := math.Lgamma(k)
 	lo, hi := 0.0, math.Inf(1)
 	for i := 0; i < 200; i++ {
 		f := RegIncGammaP(k, x) - p
@@ -80,7 +81,6 @@ func (g Gamma) Quantile(p float64) float64 {
 		} else {
 			lo = x
 		}
-		lg, _ := math.Lgamma(k)
 		pdf := math.Exp((k-1)*math.Log(x) - x - lg)
 		var next float64
 		if pdf > 0 {
