@@ -3,10 +3,14 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // planReq is the fixed round used by the cache tests.
@@ -20,8 +24,8 @@ func planReq(variant string, now float64) PlanRequest {
 
 // TestPlanCacheHitAndInvalidation pins the cache lifecycle: an
 // identical re-request returns the cached round (same pointer — no
-// recompute), new arrivals invalidate it, and a snapshot restore starts
-// cold.
+// recompute), new arrivals keep it (a round reads only the model and
+// the config), and a snapshot restore starts cold.
 func TestPlanCacheHitAndInvalidation(t *testing.T) {
 	const now = 4 * 3600.0
 	for _, variant := range []string{"hp", "rt", "cost"} {
@@ -53,7 +57,8 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 				t.Fatal("distinct query evicted an unrelated cache entry")
 			}
 
-			// Ingest invalidates: the next identical request recomputes.
+			// Ingest keeps the round: the model it was computed from is
+			// still installed.
 			if _, err := e.Ingest([]float64{now + 1}); err != nil {
 				t.Fatal(err)
 			}
@@ -61,29 +66,21 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p4 == p1 {
-				t.Fatal("cache survived an ingest")
+			if p4 != p1 {
+				t.Fatal("ingest dropped the cached round")
 			}
 
-			// Restore invalidates too: a fresh engine restored from the
-			// snapshot computes its own round.
-			blob, err := e.MarshalState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			dst, err := New(testConfig(now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := dst.RestoreState(blob); err != nil {
-				t.Fatal(err)
-			}
-			p5, err := dst.Plan(planReq(variant, now))
+			// A fresh engine restored from the post-ingest snapshot computes
+			// its own round — for hp, the same one.
+			p5, err := restoredCopy(t, e, now).Plan(planReq(variant, now))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p5 == p4 {
 				t.Fatal("restored engine shares cache entries with its source")
+			}
+			if variant == "hp" && !reflect.DeepEqual(p5, p4) {
+				t.Fatal("round served after an ingest differs from the restored engine's")
 			}
 		})
 	}
@@ -93,8 +90,9 @@ func TestPlanCacheHitAndInvalidation(t *testing.T) {
 // every variant. The bytes served for a round — the streamed plan on a
 // miss, the body rendered on the first hit, the body reused on later
 // hits — equal json.Encoder's rendering of Plan's result; only keys
-// served twice hold a body; and ingest, train, a config update and a
-// restore each make the next hit re-render from the new plan.
+// served twice hold a body; an ingest keeps the body; and a train, a
+// config update and a restore each make the next hit re-render from the
+// new plan.
 func TestPlanJSONByteCache(t *testing.T) {
 	const now = 4 * 3600.0
 	for _, variant := range []string{"hp", "rt", "cost"} {
@@ -163,15 +161,24 @@ func TestPlanJSONByteCache(t *testing.T) {
 			}
 			original := first
 
+			if _, err := e.Ingest([]float64{now + 1}); err != nil {
+				t.Fatal(err)
+			}
+			kept, hit := serve(req)
+			if !hit || &kept[0] != &first[0] {
+				t.Fatal("ingest dropped the cached body")
+			}
+			if p, err := restoredCopy(t, e, now).Plan(req); err != nil {
+				t.Fatal(err)
+			} else if variant == "hp" && !bytes.Equal(kept, encodeJSON(t, p)) {
+				t.Fatalf("body served after an ingest differs from the restored engine's:\n%s\nvs\n%s", kept, encodeJSON(t, p))
+			}
+
 			prev := later
 			for _, tc := range []struct {
 				name string
 				do   func() error
 			}{
-				{"ingest", func() error {
-					_, err := e.Ingest([]float64{now + 1})
-					return err
-				}},
 				{"train", func() error {
 					_, err := e.Train()
 					return err
@@ -224,12 +231,32 @@ func cachedBodies(e *Engine) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	n := 0
-	for _, ent := range e.planCache {
-		if ent.body != nil {
-			n++
+	if e.results != nil {
+		for _, ent := range e.results.plans {
+			if ent.body != nil {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// restoredCopy returns a fresh engine restored from e's MarshalState:
+// the reference a cached result must match, since it has never served.
+func restoredCopy(t *testing.T, e *Engine, now float64) *Engine {
+	t.Helper()
+	blob, err := e.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(testConfig(now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	return dst
 }
 
 // TestPlanCacheTrainInvalidates proves a model swap (same arrivals, new
@@ -273,6 +300,8 @@ func TestForecastCacheLifecycle(t *testing.T) {
 	if &f1[0] != &f2[0] {
 		t.Fatal("identical forecast recomputed instead of hitting the cache")
 	}
+	// Ingest keeps the forecast: the model it was read off is still
+	// installed, and a fresh engine restored after the ingest agrees.
 	if _, err := e.Ingest([]float64{now + 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +309,11 @@ func TestForecastCacheLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &f1[0] == &f3[0] {
-		t.Fatal("forecast cache survived an ingest")
+	if &f1[0] != &f3[0] {
+		t.Fatal("ingest dropped the cached forecast")
 	}
-	if !reflect.DeepEqual(f1, f3) {
-		t.Fatal("ingest without retrain changed the forecast values")
+	if !reflect.DeepEqual(f3, mustForecast(t, restoredCopy(t, e, now), now)) {
+		t.Fatal("forecast served after an ingest differs from the restored engine's")
 	}
 }
 
@@ -605,5 +634,223 @@ func TestPlanEntriesExactSize(t *testing.T) {
 	}
 	if body := encodeJSON(t, p); !bytes.Contains(body, []byte(`"plan":null`)) {
 		t.Fatalf("empty round encodes as %s, want \"plan\":null", body)
+	}
+}
+
+// TestResultCacheOrphanedStores pins the rule that replaced the
+// store-time staleness checks: a result computed while a train or a
+// config update replaced the installed pair lands in the cache it was
+// looked up in, which is then unreachable, so the live cache only ever
+// holds results of the live (model, config). Ingests, trains, config
+// updates and hp plan and forecast reads interleave on one engine (run
+// it under -race) while a checker holds every live entry to what the
+// installed pair computes; afterwards every key must hit, and each hit
+// must equal what a fresh engine restored from MarshalState serves.
+func TestResultCacheOrphanedStores(t *testing.T) {
+	const now = 4 * 3600.0
+	e := trainedEngine(t, now)
+	var plans []PlanRequest
+	for _, target := range []float64{0.5, 0.9, 0.99} {
+		plans = append(plans, PlanRequest{Variant: "hp", Target: target, Horizon: 1800, Now: now, HasNow: true})
+	}
+	forecasts := [][3]float64{{now, now + 3600, 60}, {now - 1800, now + 1800, 300}}
+	read := func() error {
+		for _, req := range plans {
+			if _, _, err := e.PlanJSON(req); err != nil {
+				return err
+			}
+		}
+		for _, f := range forecasts {
+			if _, err := e.ForecastJSON(f[0], f[1], f[2]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// check compares every entry of the live cache with what a fresh
+	// engine holding the installed (model, config) computes.
+	check := func() error {
+		e.mu.Lock()
+		model, ec := e.model, e.ec
+		cached := map[int]*Plan{}
+		cachedPts := map[int][]ForecastPoint{}
+		if rc := e.results; rc != nil {
+			for i, req := range plans {
+				if ent, ok := rc.plans[planKey{variant: "hp", target: req.Target, horizon: req.Horizon, now: now, hasNow: true}]; ok {
+					cached[i] = ent.plan
+				}
+			}
+			for i, f := range forecasts {
+				if ent, ok := rc.forecasts[forecastKey{from: f[0], to: f[1], step: f[2]}]; ok {
+					cachedPts[i] = ent.pts
+				}
+			}
+		}
+		e.mu.Unlock()
+		ref, err := New(testConfig(now))
+		if err != nil {
+			return err
+		}
+		ref.model, ref.ec = model, ec
+		for i, p := range cached {
+			if want, err := ref.Plan(plans[i]); err != nil || !reflect.DeepEqual(p, want) {
+				return fmt.Errorf("live cache holds an hp %g round of a replaced model or config (%v)", plans[i].Target, err)
+			}
+		}
+		for i, pts := range cachedPts {
+			f := forecasts[i]
+			if want, err := ref.Forecast(f[0], f[1], f[2]); err != nil || !reflect.DeepEqual(pts, want) {
+				return fmt.Errorf("live cache holds a forecast %v of a replaced model (%v)", f, err)
+			}
+		}
+		return nil
+	}
+
+	var writers, readers sync.WaitGroup
+	var writersDone atomic.Bool
+	deadline := time.Now().Add(time.Second)
+	loop := func(wg *sync.WaitGroup, step func(i int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; time.Now().Before(deadline); i++ {
+				if err := step(i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	loop(&writers, func(i int) error {
+		_, err := e.Ingest([]float64{now + float64(i)})
+		time.Sleep(time.Millisecond)
+		return err
+	})
+	loop(&writers, func(int) error {
+		_, err := e.Train()
+		return err
+	})
+	loop(&writers, func(i int) error {
+		ec := e.EngineConfig()
+		ec.Pending = float64(10 + i%5) // plans lead creations by τ
+		_, err := e.SetEngineConfig(ec)
+		time.Sleep(100 * time.Microsecond)
+		return err
+	})
+	loop(&writers, func(int) error { return check() })
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				// A pass that starts after the writers stopped caches every
+				// key under the final pair; then the reader is done.
+				last := writersDone.Load()
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+				if last {
+					return
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	writersDone.Store(true)
+	readers.Wait()
+	if t.Failed() {
+		return
+	}
+
+	ref := restoredCopy(t, e, now)
+	for _, req := range plans {
+		body, _, err := e.PlanJSON(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body == nil {
+			t.Fatalf("target %g: no cached round after the final read pass", req.Target)
+		}
+		p, err := ref.Plan(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := encodeJSON(t, p); !bytes.Equal(body, want) {
+			t.Fatalf("target %g: cached round differs from the restored engine's:\n%s\nvs\n%s", req.Target, body, want)
+		}
+	}
+	for _, f := range forecasts {
+		hits := e.Stats().ForecastCacheHits
+		body, err := e.ForecastJSON(f[0], f[1], f[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Stats().ForecastCacheHits != hits+1 {
+			t.Fatalf("forecast %v: no cached entry after the final read pass", f)
+		}
+		want, err := ref.ForecastJSON(f[0], f[1], f[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("forecast %v: cached bytes differ from the restored engine's:\n%s\nvs\n%s", f, body, want)
+		}
+	}
+}
+
+// TestResultCacheCountBound pins the per-map bound now that ingest no
+// longer resets the cache: with ingests interleaved, more than
+// maxCachedResults distinct explicit-now hp rounds and forecasts never
+// grow either map past the bound, and the maps do fill up to it.
+func TestResultCacheCountBound(t *testing.T) {
+	const now = 4 * 3600.0
+	e := trainedEngine(t, now)
+	peakPlans, peakForecasts := 0, 0
+	for i := 0; i < 2*maxCachedResults+10; i++ {
+		if i%10 == 0 {
+			if _, err := e.Ingest([]float64{now + float64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Plan(planReq("hp", now+float64(i))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Forecast(now, now+3600+float64(i), 60); err != nil {
+			t.Fatal(err)
+		}
+		st := e.Stats()
+		if st.PlanCacheEntries > maxCachedResults || st.ForecastCacheEntries > maxCachedResults {
+			t.Fatalf("after %d rounds: %d plan / %d forecast entries, bound %d",
+				i+1, st.PlanCacheEntries, st.ForecastCacheEntries, maxCachedResults)
+		}
+		peakPlans, peakForecasts = max(peakPlans, st.PlanCacheEntries), max(peakForecasts, st.ForecastCacheEntries)
+	}
+	if peakPlans != maxCachedResults || peakForecasts != maxCachedResults {
+		t.Fatalf("peaks %d plan / %d forecast entries; ingests must not reset the maps before the bound %d",
+			peakPlans, peakForecasts, maxCachedResults)
+	}
+}
+
+// TestResultCacheHitZeroAlloc pins the hit paths behind the HTTP
+// surface: a repeated PlanJSON or ForecastJSON, once its body is
+// rendered, allocates nothing.
+func TestResultCacheHitZeroAlloc(t *testing.T) {
+	const now = 4 * 3600.0
+	e := trainedEngine(t, now)
+	req := planReq("hp", now)
+	for i := 0; i < 2; i++ { // a miss, then the hit that renders the body
+		if _, _, err := e.PlanJSON(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.ForecastJSON(now, now+3600, 60); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { e.PlanJSON(req) }); a != 0 {
+		t.Fatalf("PlanJSON hit: %g allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { e.ForecastJSON(now, now+3600, 60) }); a != 0 {
+		t.Fatalf("ForecastJSON hit: %g allocs, want 0", a)
 	}
 }

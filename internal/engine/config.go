@@ -335,6 +335,7 @@ func (e *Engine) SetEngineConfig(c EngineConfig) (EngineConfig, error) {
 	old := e.ec
 	c.Version = old.Version + 1
 	e.ec = c
+	e.results = nil
 	e.stateGen++
 	if c.Dt != old.Dt {
 		// The model was fit on the old binning: stale, refit next sweep.

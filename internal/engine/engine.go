@@ -203,18 +203,11 @@ type Engine struct {
 	// restart.
 	staleSince float64
 
-	// Result cache for Plan/Forecast, also guarded by mu. Entries are
-	// valid only while (cacheGen, cacheModel, cacheCfgVer) still match
-	// (gen, model, ec.Version); ingest bumps gen, train installs a new
-	// model pointer, restore resets all three and a config update bumps
-	// the version (plans depend on Pending/MCSamples/...), so each
-	// invalidates the cache without touching it. Bounded by
-	// maxCachedResults; see storePlan.
-	cacheGen    int64
-	cacheModel  *train.Model
-	cacheCfgVer int64
-	planCache   map[planKey]*planEntry
-	fcCache     map[forecastKey]*forecastEntry
+	// results caches Plan/Forecast results for the installed (model, ec),
+	// also guarded by mu. The three paths that replace either — a train
+	// install, SetEngineConfig and RestoreState — set it to nil; ingest
+	// leaves it alone, because plans and forecasts read no arrivals.
+	results *resultCache
 
 	// m holds the workload's lifetime counters (see metrics.go). The
 	// fields are atomic: the hot paths bump them without extra locking,
@@ -258,10 +251,29 @@ type planEntry struct {
 	body []byte
 }
 
-// maxCachedResults bounds the per-engine result cache. Dashboards
-// repeat a handful of distinct queries, so the bound only matters when
-// callers sweep parameters; on overflow the cache is simply reset.
+// resultCache holds the rounds and forecasts computed from one installed
+// (model, config) pair: the only inputs either reads. A result computed
+// while a train, config update or restore replaced the pair is stored
+// into the cache it looked up in, which is then unreachable — so a
+// superseded result is returned once and never served again.
+type resultCache struct {
+	plans     map[planKey]*planEntry
+	forecasts map[forecastKey]*forecastEntry
+}
+
+// maxCachedResults bounds each map of a result cache. Dashboards repeat
+// a handful of distinct queries, so the bound only matters when callers
+// sweep parameters; on overflow the map is simply reset.
 const maxCachedResults = 256
+
+// resultsLocked returns the installed pair's result cache, creating it
+// on first use. e.mu must be held.
+func (e *Engine) resultsLocked() *resultCache {
+	if e.results == nil {
+		e.results = &resultCache{plans: map[planKey]*planEntry{}, forecasts: map[forecastKey]*forecastEntry{}}
+	}
+	return e.results
+}
 
 // New creates an Engine.
 func New(cfg Config) (*Engine, error) {
@@ -541,6 +553,7 @@ func (e *Engine) Train() (TrainInfo, error) {
 	installed := gen >= e.trainedGen
 	if installed {
 		e.model = model
+		e.results = nil
 		e.trainedN = len(arr)
 		e.trainedGen = gen
 		e.stateGen++
@@ -652,8 +665,9 @@ const maxTrainBins = 2_000_000
 // the variant's solver.
 //
 // Results are cached per (variant, target, horizon, now) until the next
-// ingest, train, restore or config update, so a dashboard polling the
-// same query is an O(1) map hit instead of a horizon recomputation.
+// train, restore or config update replaces the model or the config, so
+// a dashboard polling the same query is an O(1) map hit instead of a
+// horizon recomputation. Ingest keeps them: a round reads no arrivals.
 // Clock-anchored requests (no explicit now) share a cache slot per Dt/4
 // of wall time — the plan returned may be anchored up to Dt/4 seconds
 // in the past, which is below the planning grid's own resolution; pass
@@ -687,18 +701,10 @@ func (e *Engine) PlanJSON(req PlanRequest) (body []byte, plan *Plan, err error) 
 	return body, nil, err
 }
 
-// plan returns the cache entry for req, computing and (world
-// permitting) caching it on a miss, and reports whether it was a hit.
-// Every call counts exactly one plan cache hit or miss.
+// plan returns the cache entry for req, computing and caching it on a
+// miss, and reports whether it was a hit. Every call counts exactly one
+// plan cache hit or miss.
 func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
-	e.mu.Lock()
-	model := e.model
-	gen := e.gen
-	ec := e.ec
-	e.mu.Unlock()
-	if model == nil {
-		return nil, false, ErrNoModel
-	}
 	variant := req.Variant
 	if variant == "" {
 		variant = "hp"
@@ -709,34 +715,40 @@ func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 	if !req.HasNow {
 		now = e.cfg.Now()
 	}
-	// A NaN passes every range check below (all comparisons false) and
-	// eventually poisons the decision horizon into an index panic.
-	for _, v := range []float64{now, target, horizon} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, false, fmt.Errorf("%w: non-finite plan parameter", ErrInvalid)
-		}
-	}
+	alpha, err := planAlpha(variant, target, horizon, now)
 
-	tau := ec.Pending
-	alpha := 0.1
-	switch variant {
-	case "hp":
-		if target <= 0 || target >= 1 {
-			return nil, false, fmt.Errorf("%w: hp target must be in (0,1)", ErrInvalid)
+	e.mu.Lock()
+	model, ec := e.model, e.ec
+	if model == nil || err != nil {
+		e.mu.Unlock()
+		if model == nil {
+			return nil, false, ErrNoModel
 		}
-		alpha = 1 - target
-	case "rt", "cost":
-	default:
-		return nil, false, fmt.Errorf("%w: unknown variant %q", ErrInvalid, variant)
+		return nil, false, err
 	}
-
 	keyNow := now
 	if !req.HasNow {
 		q := ec.Dt / 4 // the planning grid step
 		keyNow = math.Floor(now/q) * q
 	}
 	key := planKey{variant: variant, target: target, horizon: horizon, now: keyNow, hasNow: req.HasNow}
-	if ent, ok := e.cachedPlan(gen, model, ec.Version, key); ok {
+	rc := e.resultsLocked()
+	ent, hit := rc.plans[key]
+	var seed int64
+	if !hit && (variant == "rt" || variant == "cost") {
+		// One parent-stream draw seeds the whole Monte Carlo round,
+		// forked under the lock so concurrent rounds stay race-free yet
+		// deterministic in sequential use. The parent only advances for
+		// MC misses — interleaved hp or invalid requests must not perturb
+		// a reproducible rt/cost sequence. Hits skip the draw, which is
+		// equally deterministic: they are a pure function of the request
+		// sequence since the model or config was installed. Ingest does
+		// not drop the cache, so a round cached before new arrivals is
+		// still served after them.
+		seed = e.rng.Int63()
+	}
+	e.mu.Unlock()
+	if hit {
 		e.m.planHits.Inc()
 		if f := e.fleet; f != nil {
 			f.planHits.Inc()
@@ -748,21 +760,12 @@ func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 		f.planMisses.Inc()
 	}
 
+	tau := ec.Pending
 	kappa := decision.Kappa(model.Rate(now), stats.Deterministic{Value: tau}, alpha, nil, 0)
 	h := decision.NewHorizon(model.NHPP, now, ec.Dt/4, 0)
 	var tauS []float64
 	var sampler *mcSampler
 	if variant == "rt" || variant == "cost" {
-		// One parent-stream draw seeds the whole Monte Carlo round,
-		// forked under the lock so concurrent rounds stay race-free yet
-		// deterministic in sequential use. The parent only advances for
-		// the MC variants — interleaved hp or invalid requests must not
-		// perturb a reproducible rt/cost sequence. (A cache hit skips
-		// the draw, which is equally deterministic: hits are a pure
-		// function of the request sequence since the last invalidation.)
-		e.mu.Lock()
-		seed := e.rng.Int63()
-		e.mu.Unlock()
 		sampler = newMCSampler(h, now, ec.MCSamples, seed, e.cfg.MCWorkers)
 		tauS = make([]float64, ec.MCSamples)
 		for i := range tauS {
@@ -807,51 +810,37 @@ planLoop:
 	}
 	*buf = entries
 	planBuffers.Put(buf)
-	ent := &planEntry{plan: resp}
-	e.storePlan(gen, model, ec.Version, key, ent)
+	ent = &planEntry{plan: resp}
+	e.mu.Lock()
+	if len(rc.plans) >= maxCachedResults {
+		clear(rc.plans)
+	}
+	rc.plans[key] = ent
+	e.mu.Unlock()
 	return ent, false, nil
 }
 
-// cachedPlan returns the cached round for key, provided the cache still
-// belongs to the (gen, model, cfgVer) the caller read.
-func (e *Engine) cachedPlan(gen int64, model *train.Model, cfgVer int64, key planKey) (*planEntry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cacheGen != gen || e.cacheModel != model || e.cacheCfgVer != cfgVer || e.planCache == nil {
-		return nil, false
+// planAlpha validates a planning round's parameters and returns the α
+// that κ (and the hp quantiles) use: 1 − target for hp, 0.1 for the MC
+// variants.
+func planAlpha(variant string, target, horizon, now float64) (float64, error) {
+	// A NaN passes every range check below (all comparisons false) and
+	// eventually poisons the decision horizon into an index panic.
+	for _, v := range []float64{now, target, horizon} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("%w: non-finite plan parameter", ErrInvalid)
+		}
 	}
-	ent, ok := e.planCache[key]
-	return ent, ok
-}
-
-// storePlan caches a computed round unless the world moved on while it
-// was being computed (an ingest, train or config update landed
-// mid-flight) — a stale round is still correct to return once, but must
-// not be served again.
-func (e *Engine) storePlan(gen int64, model *train.Model, cfgVer int64, key planKey, ent *planEntry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gen != gen || e.model != model || e.ec.Version != cfgVer {
-		return
+	switch variant {
+	case "hp":
+		if target <= 0 || target >= 1 {
+			return 0, fmt.Errorf("%w: hp target must be in (0,1)", ErrInvalid)
+		}
+		return 1 - target, nil
+	case "rt", "cost":
+		return 0.1, nil
 	}
-	e.rebindCacheLocked(gen, model, cfgVer)
-	if len(e.planCache) >= maxCachedResults {
-		clear(e.planCache)
-	}
-	e.planCache[key] = ent
-}
-
-// rebindCacheLocked points the cache at (gen, model, cfgVer), dropping
-// every entry of a previous binding. Invalidation is lazy: ingest/
-// train/restore/config updates only move gen, the model pointer or the
-// config version, and the next lookup under the new binding misses.
-func (e *Engine) rebindCacheLocked(gen int64, model *train.Model, cfgVer int64) {
-	if e.cacheGen == gen && e.cacheModel == model && e.cacheCfgVer == cfgVer && e.planCache != nil {
-		return
-	}
-	e.cacheGen, e.cacheModel, e.cacheCfgVer = gen, model, cfgVer
-	e.planCache = make(map[planKey]*planEntry)
-	e.fcCache = make(map[forecastKey]*forecastEntry)
+	return 0, fmt.Errorf("%w: unknown variant %q", ErrInvalid, variant)
 }
 
 // ForecastPoint is one sample of the predicted intensity.
@@ -861,9 +850,9 @@ type ForecastPoint struct {
 }
 
 // forecastEntry is one cached forecast: the points, plus — rendered
-// lazily, on the first ForecastJSON for the key — the exact HTTP
-// response body, so a repeated dashboard query costs one map lookup and
-// one Write instead of a resample and a re-marshal. pts is immutable
+// lazily, on the first repeat of the key — the exact HTTP response
+// body, so a repeated dashboard query costs one map lookup and one
+// Write instead of a resample and a re-marshal. pts is immutable
 // after creation and may be read without the lock; body is guarded by
 // the engine mutex.
 type forecastEntry struct {
@@ -876,11 +865,11 @@ type forecastEntry struct {
 // [from+i·step, from+(i+1)·step), read in O(1) off the model's
 // cumulative-intensity prefix table — the whole horizon costs O(points)
 // regardless of the training window size. Like Plan, results are cached
-// per (from, to, step) until the next ingest, train, restore or config
-// update; the returned slice is shared with the cache and must be
-// treated as read-only.
+// per (from, to, step) until the next train, restore or config update
+// (ingest keeps them); the returned slice is shared with the cache and
+// must be treated as read-only.
 func (e *Engine) Forecast(from, to, step float64) ([]ForecastPoint, error) {
-	ent, err := e.forecast(from, to, step)
+	ent, _, err := e.forecast(from, to, step)
 	if err != nil {
 		return nil, err
 	}
@@ -889,22 +878,38 @@ func (e *Engine) Forecast(from, to, step float64) ([]ForecastPoint, error) {
 
 // ForecastJSON is Forecast returning the rendered HTTP response body
 // (a JSON array of points, newline-terminated — byte-identical to
-// encoding the Forecast result). The body is cached next to the points,
-// so the steady state of a dashboard polling one query is a map hit
-// followed by a single buffer write.
+// encoding the Forecast result). As with PlanJSON, the body is cached
+// next to the points once the key is served a second time, so the
+// steady state of a dashboard polling one query is a map hit followed
+// by a single buffer write. Keys served once keep no body: a default
+// forecast is anchored on the clock, so its key never repeats.
 func (e *Engine) ForecastJSON(from, to, step float64) ([]byte, error) {
-	ent, err := e.forecast(from, to, step)
+	ent, hit, err := e.forecast(from, to, step)
 	if err != nil {
 		return nil, err
 	}
-	return e.renderBody(&ent.body, ent.pts)
+	if !hit {
+		return marshalBody(ent.pts)
+	}
+	return e.renderBody(&ent.body, &ent.pts) // a pointer boxes into any without allocating
+}
+
+// marshalBody renders v as json.Encoder writes it: json.Marshal plus
+// the trailing newline.
+func marshalBody(v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(body, '\n'), nil
 }
 
 // renderBody returns the response body cached in *slot, rendering v
-// into it (json.Marshal plus the newline json.Encoder ends with) when
-// it is still empty. The render runs outside the lock; if two callers
+// into it (marshalBody) when it is still empty. The render runs outside the lock; if two callers
 // race, the first stored body wins, so every caller serves the same
-// buffer. slot must point into a cache entry guarded by e.mu.
+// buffer. slot must point into a cache entry guarded by e.mu; an entry
+// lives as long as the model and config it was computed from, so a body
+// rendered for it is never stale.
 func (e *Engine) renderBody(slot *[]byte, v any) ([]byte, error) {
 	e.mu.Lock()
 	body := *slot
@@ -912,11 +917,10 @@ func (e *Engine) renderBody(slot *[]byte, v any) ([]byte, error) {
 	if body != nil {
 		return body, nil
 	}
-	body, err := json.Marshal(v)
+	body, err := marshalBody(v)
 	if err != nil {
 		return nil, err
 	}
-	body = append(body, '\n')
 	e.mu.Lock()
 	if *slot == nil {
 		*slot = body
@@ -927,35 +931,30 @@ func (e *Engine) renderBody(slot *[]byte, v any) ([]byte, error) {
 }
 
 // forecast returns the cache entry for (from, to, step), computing and
-// (world permitting) caching it on a miss. Every call counts exactly
-// one forecast cache hit or miss.
-func (e *Engine) forecast(from, to, step float64) (*forecastEntry, error) {
+// caching it on a miss, and reports whether it was a hit. Every call
+// counts exactly one forecast cache hit or miss.
+func (e *Engine) forecast(from, to, step float64) (*forecastEntry, bool, error) {
+	err := checkForecastRange(from, to, step)
+	key := forecastKey{from: from, to: to, step: step}
+
 	e.mu.Lock()
 	model := e.model
-	gen := e.gen
-	cfgVer := e.ec.Version
-	e.mu.Unlock()
-	if model == nil {
-		return nil, ErrNoModel
-	}
-	// NaN bounds defeat every comparison below and make the point count
-	// nonsensical; direct API callers don't pass the HTTP layer's
-	// screening.
-	for _, v := range []float64{from, to, step} {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("%w: non-finite forecast parameter", ErrInvalid)
+	if model == nil || err != nil {
+		e.mu.Unlock()
+		if model == nil {
+			return nil, false, ErrNoModel
 		}
+		return nil, false, err
 	}
-	if step <= 0 || to <= from || (to-from)/step > 100000 {
-		return nil, fmt.Errorf("%w: invalid range/step", ErrInvalid)
-	}
-	key := forecastKey{from: from, to: to, step: step}
-	if ent, ok := e.cachedForecast(gen, model, cfgVer, key); ok {
+	rc := e.resultsLocked()
+	ent, hit := rc.forecasts[key]
+	e.mu.Unlock()
+	if hit {
 		e.m.forecastHits.Inc()
 		if f := e.fleet; f != nil {
 			f.forecastHits.Inc()
 		}
-		return ent, nil
+		return ent, true, nil
 	}
 	e.m.forecastMisses.Inc()
 	if f := e.fleet; f != nil {
@@ -978,32 +977,30 @@ func (e *Engine) forecast(from, to, step float64) (*forecastEntry, error) {
 	for i := range pts {
 		pts[i] = ForecastPoint{T: from + float64(i)*step, QPS: vals[i]}
 	}
-	ent := &forecastEntry{pts: pts}
-	e.storeForecast(gen, model, cfgVer, key, ent)
-	return ent, nil
+	ent = &forecastEntry{pts: pts}
+	e.mu.Lock()
+	if len(rc.forecasts) >= maxCachedResults {
+		clear(rc.forecasts)
+	}
+	rc.forecasts[key] = ent
+	e.mu.Unlock()
+	return ent, false, nil
 }
 
-func (e *Engine) cachedForecast(gen int64, model *train.Model, cfgVer int64, key forecastKey) (*forecastEntry, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cacheGen != gen || e.cacheModel != model || e.cacheCfgVer != cfgVer || e.fcCache == nil {
-		return nil, false
+// checkForecastRange rejects a forecast range the point loop can't walk.
+func checkForecastRange(from, to, step float64) error {
+	// NaN bounds defeat every comparison below and make the point count
+	// nonsensical; direct API callers don't pass the HTTP layer's
+	// screening.
+	for _, v := range []float64{from, to, step} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: non-finite forecast parameter", ErrInvalid)
+		}
 	}
-	ent, ok := e.fcCache[key]
-	return ent, ok
-}
-
-func (e *Engine) storeForecast(gen int64, model *train.Model, cfgVer int64, key forecastKey, ent *forecastEntry) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gen != gen || e.model != model || e.ec.Version != cfgVer {
-		return
+	if step <= 0 || to <= from || (to-from)/step > 100000 {
+		return fmt.Errorf("%w: invalid range/step", ErrInvalid)
 	}
-	e.rebindCacheLocked(gen, model, cfgVer)
-	if len(e.fcCache) >= maxCachedResults {
-		clear(e.fcCache)
-	}
-	e.fcCache[key] = ent
+	return nil
 }
 
 // ExpectedArrivals returns Λ(from, to) — the model's expected arrival

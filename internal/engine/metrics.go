@@ -200,9 +200,10 @@ func (e *Engine) Stats() Stats {
 		Status:               e.statusLocked(),
 		StalenessGenerations: e.gen - e.trainedGen,
 		LastRefitAt:          e.lastTrainAt,
-		PlanCacheEntries:     len(e.planCache),
-		ForecastCacheEntries: len(e.fcCache),
 		WALLastSeq:           e.walSeq,
+	}
+	if rc := e.results; rc != nil {
+		st.PlanCacheEntries, st.ForecastCacheEntries = len(rc.plans), len(rc.forecasts)
 	}
 	if e.staleSince > 0 {
 		if age := e.cfg.Now() - e.staleSince; age > 0 {

@@ -74,6 +74,43 @@ func TestEngineStatsCounters(t *testing.T) {
 		t.Fatalf("LastRefitAt = %g, want the fake clock 7200", st.LastRefitAt)
 	}
 
+	// The entry counts are the live cache's: a train, a config update and
+	// a restore drop it at once, with no read in between, and an ingest
+	// keeps it.
+	blob, err := e.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		do   func() error
+		want int
+	}{
+		{"train", func() error { _, err := e.Train(); return err }, 0},
+		{"ingest", func() error { _, err := e.Ingest([]float64{7000}); return err }, 1},
+		{"config update", func() error {
+			ec := e.EngineConfig()
+			ec.Pending++
+			_, err := e.SetEngineConfig(ec)
+			return err
+		}, 0},
+		{"restore", func() error { return e.RestoreState(blob) }, 0},
+	} {
+		if _, err := e.Plan(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Forecast(7200, 7800, 60); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.do(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := e.Stats(); st.PlanCacheEntries != tc.want || st.ForecastCacheEntries != tc.want {
+			t.Fatalf("after %s: %d plan / %d forecast entries, want %d/%d",
+				tc.name, st.PlanCacheEntries, st.ForecastCacheEntries, tc.want, tc.want)
+		}
+	}
+
 	// A failed fit counts as a failure, not a refit. (Window 0 keeps
 	// both points, so the astronomical span reaches the bins guard.)
 	badCfg := metricsTestConfig()

@@ -240,6 +240,7 @@ func (e *Engine) RestoreState(blob []byte) error {
 	e.rng = rand.New(rand.NewSource(st.Seed))
 	e.arrivals = st.Arrivals
 	e.model = model
+	e.results = nil
 	e.trainedN = st.TrainedN
 	e.failedGen = 0
 	e.stateGen++
@@ -247,12 +248,6 @@ func (e *Engine) RestoreState(blob []byte) error {
 	e.walSeq = st.WALSeq
 	// The restored config may carry a per-workload fsync override.
 	e.applyWALPolicyLocked()
-	// Drop any cached plans/forecasts: they were computed for the
-	// pre-restore model and generation. (The binding check would miss
-	// them anyway — the model pointer is fresh — but holding onto dead
-	// entries across a restore would be a leak.)
-	e.cacheGen, e.cacheModel, e.cacheCfgVer = 0, nil, 0
-	e.planCache, e.fcCache = nil, nil
 	switch {
 	case model != nil && !st.Stale:
 		// The restored model covers the restored arrivals: not stale, the

@@ -137,10 +137,12 @@ func TestTrainKnobsValidate(t *testing.T) {
 	}
 }
 
-// TestForecastJSONByteCache pins the rendered-bytes fast path: a hit
-// returns the identical buffer (no re-marshal), the bytes match what
-// encoding the Forecast result produces, and every model-swapping path
-// — ingest, train, config update, restore — invalidates it.
+// TestForecastJSONByteCache pins the rendered-bytes fast path: a miss
+// keeps no body, the first hit renders one and later hits return that
+// identical buffer (no re-marshal), the bytes match what encoding the
+// Forecast result produces, an ingest keeps the buffer (the model is
+// unchanged), and every path that replaces the model or the config —
+// train, config update, restore — invalidates it.
 func TestForecastJSONByteCache(t *testing.T) {
 	const now = 4 * 3600.0
 	e := trainedEngine(t, now)
@@ -158,24 +160,49 @@ func TestForecastJSONByteCache(t *testing.T) {
 	}
 	want = append(want, '\n')
 	if !bytes.Equal(b1, want) {
-		t.Fatalf("cached body differs from encoding the points:\n%s\nvs\n%s", b1, want)
+		t.Fatalf("missed body differs from encoding the points:\n%s\nvs\n%s", b1, want)
+	}
+	e.mu.Lock()
+	kept := e.results.forecasts[forecastKey{from: now, to: now + 3600, step: 60}].body
+	e.mu.Unlock()
+	if kept != nil {
+		t.Fatal("a key served once holds a body")
 	}
 	b2, err := e.ForecastJSON(now, now+3600, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &b1[0] != &b2[0] {
+	if !bytes.Equal(b2, want) {
+		t.Fatalf("cached body differs from encoding the points:\n%s\nvs\n%s", b2, want)
+	}
+	later, err := e.ForecastJSON(now, now+3600, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &later[0] != &b2[0] {
 		t.Fatal("identical forecast re-rendered instead of hitting the byte cache")
+	}
+
+	if _, err := e.Ingest([]float64{now + 1}); err != nil {
+		t.Fatal(err)
+	}
+	kept, err = e.ForecastJSON(now, now+3600, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &kept[0] != &b2[0] {
+		t.Fatal("ingest dropped the forecast byte cache")
+	}
+	if fresh, err := restoredCopy(t, e, now).ForecastJSON(now, now+3600, 60); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(kept, fresh) {
+		t.Fatalf("bytes served after an ingest differ from the restored engine's:\n%s\nvs\n%s", kept, fresh)
 	}
 
 	invalidate := []struct {
 		name string
 		do   func() error
 	}{
-		{"ingest", func() error {
-			_, err := e.Ingest([]float64{now + 1})
-			return err
-		}},
 		{"train", func() error {
 			_, err := e.Train()
 			return err
@@ -199,7 +226,10 @@ func TestForecastJSONByteCache(t *testing.T) {
 		if &b[0] == &prev[0] {
 			t.Fatalf("forecast byte cache survived %s", tc.name)
 		}
-		prev = b
+		// The next request hits and keeps the body the next case checks.
+		if prev, err = e.ForecastJSON(now, now+3600, 60); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 	}
 
 	// Restore into a fresh engine: its bytes are its own, and — the
