@@ -30,7 +30,7 @@ func main() {
 		target    = flag.Float64("target", 0.9, "target hit prob / wait budget (s) / idle budget (s)")
 		pending   = flag.Float64("pending", 0, "pending time τ seconds (0 = trace default)")
 		horizon   = flag.Float64("horizon", 600, "planning horizon in seconds")
-		mcR       = flag.Int("mc", 1000, "Monte Carlo samples for rt/cost variants")
+		mcR       = flag.Int("mc", 1000, "accepted for compatibility and ignored: rt/cost plans are solved exactly")
 		seed      = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
@@ -52,7 +52,6 @@ func main() {
 	cfg.Pending = tau
 	cfg.HistoryWindow = 0
 	cfg.MCSamples = *mcR
-	cfg.Seed = *seed
 	cfg.Now = func() float64 { return now }
 	cfg.Train.Periodicity.AggregateWindow = 10
 	cfg.Train.Periodicity.MinPeriod = 3

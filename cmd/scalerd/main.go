@@ -48,7 +48,7 @@
 //
 // The engine flags below (-dt, -pending, -history, -mc) are fleet
 // defaults: they seed the configuration each new workload starts from,
-// and every knob except the seed and worker pools can then be tuned per
+// and every knob except the worker pools can then be tuned per
 // workload at runtime via PUT /v1/workloads/{id}/config — including a
 // per-workload retrain cadence (retrain_every), which rate-limits the
 // sweep that -retrain-every schedules process-wide.
@@ -118,9 +118,7 @@ func main() {
 		pending        = flag.Float64("pending", 13, "default instance pending time τ seconds (per-workload override: PUT /config)")
 		dt             = flag.Float64("dt", 60, "default modeling bin width seconds (per-workload override: PUT /config)")
 		history        = flag.Float64("history", 28*86400, "default retained arrival history seconds (per-workload override: PUT /config)")
-		mc             = flag.Int("mc", 1000, "default Monte Carlo samples for rt/cost plans (per-workload override: PUT /config)")
-		mcWorkers      = flag.Int("mc-workers", 0, "worker pool for Monte Carlo draws per plan (0 = GOMAXPROCS); plans are identical for every value")
-		seed           = flag.Int64("seed", 1, "random seed")
+		mc             = flag.Int("mc", 1000, "accepted for compatibility and ignored: rt/cost plans are solved exactly (per-workload mc_samples via PUT /config, likewise ignored)")
 		maxIngest      = flag.Int64("max-ingest-bytes", server.DefaultMaxIngestBytes, "max arrivals body size in bytes, before and after decompression (413 beyond it; 0 disables)")
 		retrainEvery   = flag.Float64("retrain-every", 1800, "background retrain sweep period seconds (0 disables); per-workload cadence via PUT /config retrain_every")
 		retrainWorkers = flag.Int("retrain-workers", 4, "background retraining worker pool size (per node)")
@@ -152,8 +150,6 @@ func main() {
 	cfg.Dt = *dt
 	cfg.HistoryWindow = *history
 	cfg.MCSamples = *mc
-	cfg.MCWorkers = *mcWorkers
-	cfg.Seed = *seed
 	if *maxIngest < 0 {
 		log.Fatalf("-max-ingest-bytes %d invalid (bytes; 0 disables)", *maxIngest)
 	}

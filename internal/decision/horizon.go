@@ -1,15 +1,18 @@
 // Package decision computes the paper's optimal scaling decisions from a
 // predicted arrival intensity: the HP-constrained quantile solution
-// (eq. 3), the RT-constrained sort-and-search (Algorithm 3 / eq. 5), the
-// cost-constrained solution (eq. 7), and the κ planning threshold (eq. 8).
+// (eq. 3), the RT-constrained solution (eq. 5), the cost-constrained
+// solution (eq. 7), and the κ planning threshold (eq. 8).
 //
-// All three formulations are separable per upcoming query. The RT and cost
-// solvers, and the HP solver under a random pending time, take Monte Carlo
-// samples of a single query's arrival epoch ξ_i and pending time τ_i and
-// return one creation time. Under a deterministic pending time the HP
-// solution and κ are exact instead: they read unit-rate Gamma quantiles,
-// which depend only on the query index and the target, from a bounded
-// process-wide table (gammatable.go).
+// All three formulations are separable per upcoming query. Under a
+// deterministic pending time τ every one is exact. The HP solution and κ
+// read unit-rate Gamma quantiles, which depend only on the query index
+// and the target, from a bounded process-wide table (gammatable.go). The
+// RT and cost solutions find the root of a closed-form integral of the
+// query's arrival CDF over the Horizon (exact.go). Under a random pending
+// time the sample-based solvers (solve.go: Algorithm 3's sort-and-search
+// for RT, the sorted sweep for cost, the quantile for HP) take Monte
+// Carlo samples of one query's arrival epoch ξ_i and pending time τ_i
+// and return one creation time.
 package decision
 
 import (
@@ -24,13 +27,16 @@ import (
 // Horizon caches the cumulative integrated intensity Λ(t0, ·) on a regular
 // grid so arrival epochs can be sampled in O(log n) per draw via the
 // time-rescaling identity ξ_i = Λ⁻¹(Gamma(i, 1)). A planning round builds
-// one Horizon and draws thousands of samples from it.
+// one Horizon and reads every query's quantiles or exact rt/cost
+// solutions off it. A Horizon grows its grid on demand and so is not safe
+// for concurrent use.
 type Horizon struct {
 	in    nhpp.Intensity
 	start float64
 	step  float64
 	cum   []float64 // cum[k] = Λ(start, start + k·step); cum[0] = 0
 	max   int       // grid-cell cap for Ensure
+	cdf   cdfWindow // workspace of the exact rt/cost solvers (exact.go)
 }
 
 // NewHorizon creates a horizon anchored at start with the given grid step.

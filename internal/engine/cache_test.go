@@ -382,50 +382,6 @@ func TestPlanCacheQuantizesClockAnchoredRequests(t *testing.T) {
 	}
 }
 
-// TestParallelMCEquivalence is the determinism contract of the Monte
-// Carlo worker pool: under a fixed seed, every worker count produces
-// the byte-for-byte plan of the sequential (1-worker) reference.
-func TestParallelMCEquivalence(t *testing.T) {
-	const now = 6 * 3600.0
-	build := func(workers int) *Engine {
-		cfg := testConfig(now)
-		cfg.MCSamples = 1000 // several blocks, so the pool really fans out
-		cfg.MCWorkers = workers
-		cfg.Seed = 42
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Ingest(trafficArrivals(9, now)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Train(); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	for _, variant := range []string{"rt", "cost"} {
-		// A fresh reference per variant: each engine's round is then its
-		// first parent-stream draw, so engines differ only in workers.
-		want, err := build(1).Plan(planReq(variant, now))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want.Plan) == 0 {
-			t.Fatalf("%s reference plan is empty; the equivalence check would be vacuous", variant)
-		}
-		for _, workers := range []int{2, 3, 8} {
-			got, err := build(workers).Plan(planReq(variant, now))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s plan with %d workers differs from sequential reference", variant, workers)
-			}
-		}
-	}
-}
-
 // TestIngestSortedChunksMatchesIngest proves the fast path lands the
 // same history the generic path would, including window trimming and
 // the straggler-merge fallback.

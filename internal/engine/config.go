@@ -38,7 +38,10 @@ type EngineConfig struct {
 	// HistoryWindow bounds the retained arrival history in seconds;
 	// 0 keeps everything. Shrinking it trims immediately.
 	HistoryWindow float64 `json:"history_window"`
-	// MCSamples is the Monte Carlo budget for rt/cost plan variants.
+	// MCSamples was the Monte Carlo budget of the rt/cost plan variants,
+	// which are now solved exactly. It is still accepted, validated and
+	// persisted so existing configs and snapshots keep working, but it
+	// changes no plan.
 	MCSamples int `json:"mc_samples"`
 	// HPTarget is the default hit-probability target for hp plans when
 	// the request does not specify one.
@@ -174,8 +177,8 @@ func equalPeriods(a, b []float64) bool {
 	return true
 }
 
-// mcSamplesCap bounds the per-plan Monte Carlo budget an API caller can
-// configure; beyond it one planning round becomes a CPU DoS.
+// mcSamplesCap bounds mc_samples. The knob no longer changes any plan;
+// the bound keeps the config plane's accepted range unchanged.
 const mcSamplesCap = 1_000_000
 
 // maxReplicasCap bounds the replica counts an API caller can configure

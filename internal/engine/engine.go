@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -56,19 +55,13 @@ type Config struct {
 	// EngineConfig holds the per-workload defaults a new workload starts
 	// from (Version is ignored: every workload starts at version 1).
 	// Zero HPTarget/RTTarget/CostTarget mean 0.9, zero PlanHorizon 600
-	// and non-positive MCSamples 1000. Its TrainKnobs are reached as
-	// cfg.EngineConfig.Train — the Train selector is the field below.
+	// and non-positive MCSamples 1000 (a retired knob: see EngineConfig).
+	// Its TrainKnobs are reached as cfg.EngineConfig.Train — the Train
+	// selector is the field below.
 	EngineConfig
 	// Train is the fleet-wide training configuration each workload's
 	// TrainKnobs overlay.
 	Train train.Config
-	// MCWorkers bounds the pool that parallelizes Monte Carlo draws
-	// within one planning round; ≤0 uses GOMAXPROCS. Purely a latency
-	// knob: plans are bit-identical for every worker count, because
-	// samples are drawn from fixed per-block RNG streams (see mc.go).
-	MCWorkers int
-	// Seed drives Monte Carlo draws.
-	Seed int64
 	// Now supplies the current time as a Unix-epoch-like second count;
 	// defaults to time.Now. Tests inject a fake clock.
 	Now func() float64
@@ -97,9 +90,6 @@ func (c *Config) validate() error {
 	}
 	if c.MCSamples <= 0 {
 		c.MCSamples = 1000
-	}
-	if c.MCWorkers < 0 {
-		c.MCWorkers = 0
 	}
 	if c.Now == nil {
 		c.Now = func() float64 { return float64(time.Now().UnixNano()) / 1e9 }
@@ -148,17 +138,14 @@ func overlayTrainKnobs(tc train.Config, k TrainKnobs, dt float64) train.Config {
 
 // Engine is the scaling brain of a single workload: sorted arrival
 // history, the current NHPP model, and the decision math that turns the
-// model into creation plans. All methods are safe for concurrent use,
-// with one carve-out: RestoreState rewrites the RNG seed that
-// MarshalState reads, so it must complete before the engine serves
-// traffic (the boot sequence in cmd/scalerd guarantees this). Model
-// fitting runs outside the lock so a slow refit never blocks ingest or
-// planning.
+// model into creation plans. All methods are safe for concurrent use.
+// Model fitting runs outside the lock so a slow refit never blocks
+// ingest or planning.
 //
 // cfg holds the static, immutable-after-New parts (Train sub-config,
-// clock, MC worker pool, seed) — its embedded EngineConfig is only the
-// creation-time template; the live per-workload tunables are ec, guarded
-// by mu, because SetEngineConfig mutates them at runtime.
+// clock) — its embedded EngineConfig is only the creation-time template;
+// the live per-workload tunables are ec, guarded by mu, because
+// SetEngineConfig mutates them at runtime.
 type Engine struct {
 	cfg Config
 
@@ -186,7 +173,6 @@ type Engine struct {
 	// retrainer skips the workload until new arrivals advance gen, so a
 	// permanently degenerate history isn't refit on every sweep.
 	failedGen int64
-	rng       *rand.Rand
 
 	// wal, when attached (Registry.AttachWAL — before the engine serves
 	// traffic), makes every accepted batch durable before it is
@@ -283,7 +269,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.EngineConfig.validate(); err != nil {
 		return nil, err
 	}
-	return &Engine{cfg: cfg, ec: cfg.EngineConfig, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return &Engine{cfg: cfg, ec: cfg.EngineConfig}, nil
 }
 
 // Config returns the engine's configuration in the constructor's shape:
@@ -662,7 +648,11 @@ const maxTrainBins = 2_000_000
 
 // Plan computes upcoming instance creation times from the current model:
 // the κ threshold (eq. 8) plus one creation time per upcoming query via
-// the variant's solver.
+// the variant's solver. Each is exact for the deterministic pending time:
+// hp reads the query's arrival quantile (eq. 3), rt and cost solve eqs.
+// 5 and 7 in closed form (decision.SolveRTExact, SolveCostExact). No
+// variant draws random samples, so equal inputs give bit-identical
+// plans, across restarts too.
 //
 // Results are cached per (variant, target, horizon, now) until the next
 // train, restore or config update replaces the model or the config, so
@@ -728,25 +718,11 @@ func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 	}
 	keyNow := now
 	if !req.HasNow {
-		q := ec.Dt / 4 // the planning grid step
-		keyNow = math.Floor(now/q) * q
+		keyNow = ClockSlot(now, ec.Dt)
 	}
 	key := planKey{variant: variant, target: target, horizon: horizon, now: keyNow, hasNow: req.HasNow}
 	rc := e.resultsLocked()
 	ent, hit := rc.plans[key]
-	var seed int64
-	if !hit && (variant == "rt" || variant == "cost") {
-		// One parent-stream draw seeds the whole Monte Carlo round,
-		// forked under the lock so concurrent rounds stay race-free yet
-		// deterministic in sequential use. The parent only advances for
-		// MC misses — interleaved hp or invalid requests must not perturb
-		// a reproducible rt/cost sequence. Hits skip the draw, which is
-		// equally deterministic: they are a pure function of the request
-		// sequence since the model or config was installed. Ingest does
-		// not drop the cache, so a round cached before new arrivals is
-		// still served after them.
-		seed = e.rng.Int63()
-	}
 	e.mu.Unlock()
 	if hit {
 		e.m.planHits.Inc()
@@ -763,37 +739,22 @@ func (e *Engine) plan(req PlanRequest) (*planEntry, bool, error) {
 	tau := ec.Pending
 	kappa := decision.Kappa(model.Rate(now), stats.Deterministic{Value: tau}, alpha, nil, 0)
 	h := decision.NewHorizon(model.NHPP, now, ec.Dt/4, 0)
-	var tauS []float64
-	var sampler *mcSampler
-	if variant == "rt" || variant == "cost" {
-		sampler = newMCSampler(h, now, ec.MCSamples, seed, e.cfg.MCWorkers)
-		tauS = make([]float64, ec.MCSamples)
-		for i := range tauS {
-			tauS[i] = tau
-		}
-	}
-
 	buf := planBuffers.Get().(*[]PlanEntry)
 	entries := (*buf)[:0]
-planLoop:
 	for i := 1; len(entries) < maxPlanEntries; i++ {
 		var x float64
+		var ok bool
 		switch variant {
 		case "hp":
-			qv, ok := h.QuantileArrival(i, alpha)
-			if !ok {
-				break planLoop // no more mass
-			}
-			x = qv - tau
-		case "rt", "cost":
-			if !sampler.draw(i) {
-				break planLoop // no more mass
-			}
-			if variant == "rt" {
-				x = now + decision.SolveRT(sampler.xi, tauS, target)
-			} else {
-				x = now + decision.SolveCost(sampler.xi, tauS, target)
-			}
+			x, ok = h.QuantileArrival(i, alpha)
+			x -= tau
+		case "rt":
+			x, ok = decision.SolveRTExact(h, i, tau, target)
+		case "cost":
+			x, ok = decision.SolveCostExact(h, i, tau, target)
+		}
+		if !ok {
+			break // no more mass
 		}
 		if x < now {
 			x = now
@@ -820,9 +781,18 @@ planLoop:
 	return ent, false, nil
 }
 
+// ClockSlot returns the start of the Dt/4 slot (the planning grid step)
+// that holds now. Requests anchored on the clock rather than on an
+// explicit time are keyed on it, so polls within one slot share a cached
+// result.
+func ClockSlot(now, dt float64) float64 {
+	q := dt / 4
+	return math.Floor(now/q) * q
+}
+
 // planAlpha validates a planning round's parameters and returns the α
-// that κ (and the hp quantiles) use: 1 − target for hp, 0.1 for the MC
-// variants.
+// that κ (and the hp quantiles) use: 1 − target for hp, 0.1 for rt and
+// cost.
 func planAlpha(variant string, target, horizon, now float64) (float64, error) {
 	// A NaN passes every range check below (all comparisons false) and
 	// eventually poisons the decision horizon into an index panic.

@@ -106,9 +106,6 @@ func (r *Registry) Get(id string) (*Engine, bool) {
 }
 
 // GetOrCreate returns the workload's engine, creating it on first use.
-// Every workload gets its own RNG stream, derived from the template seed
-// and the workload ID, so Monte Carlo draws stay deterministic per
-// workload yet independent across them.
 func (r *Registry) GetOrCreate(id string) (*Engine, error) {
 	if id == "" {
 		return nil, fmt.Errorf("%w: empty workload id", ErrInvalid)
@@ -120,9 +117,7 @@ func (r *Registry) GetOrCreate(id string) (*Engine, error) {
 	if ok {
 		return e, nil
 	}
-	cfg := r.cfg
-	cfg.Seed = r.cfg.Seed ^ int64(fnv1a(id))
-	fresh, err := New(cfg)
+	fresh, err := New(r.cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -43,16 +42,16 @@ import (
 // describe how future fits run, not what was learned, so the restoring
 // process's (possibly newer) settings apply.
 //
-// The scalar fields (Dt..Seed) are the v1 blob schema; v2 blobs carry
-// the full versioned config under "config" and keep writing the scalars
-// so a pre-config-plane build can still restore the snapshot after a
-// rollback. RestoreState reads either shape.
+// The scalar fields (Dt..MCSamples) are the v1 blob schema; v2 blobs
+// carry the full versioned config under "config" and keep writing the
+// scalars so a pre-config-plane build can still restore the snapshot
+// after a rollback. RestoreState reads either shape. Blobs written while
+// rt/cost plans were Monte Carlo also carry a "seed"; it is ignored.
 type engineState struct {
 	Dt            float64 `json:"dt"`
 	Pending       float64 `json:"pending"`
 	HistoryWindow float64 `json:"history_window"`
 	MCSamples     int     `json:"mc_samples"`
-	Seed          int64   `json:"seed"`
 	// Config is the versioned per-workload configuration (v2 blobs);
 	// nil in blobs written before the config plane existed.
 	Config   *EngineConfig `json:"config,omitempty"`
@@ -103,7 +102,6 @@ func (e *Engine) marshalState() ([]byte, uint64, uint64, error) {
 	stale := e.gen != e.trainedGen
 	failed := e.gen > 0 && e.gen == e.failedGen
 	ec := e.ec
-	seed := e.cfg.Seed
 	gen := e.stateGen
 	walSeq := e.walSeq
 	e.mu.Unlock()
@@ -113,7 +111,6 @@ func (e *Engine) marshalState() ([]byte, uint64, uint64, error) {
 		Pending:       ec.Pending,
 		HistoryWindow: ec.HistoryWindow,
 		MCSamples:     ec.MCSamples,
-		Seed:          seed,
 		Config:        &ec,
 		Arrivals:      arr,
 		TrainedN:      trainedN,
@@ -152,12 +149,11 @@ func (e *Engine) MarshalState() ([]byte, error) {
 const logIntensityBound = 40.0
 
 // RestoreState replaces the engine's state with a blob produced by
-// MarshalState: per-workload config, arrival history, fitted model, and
-// the Monte Carlo RNG re-seeded from the persisted seed. The Train
-// sub-config and clock keep their current (constructor-supplied)
-// values. Every field is validated before anything is mutated, so a
-// corrupt blob leaves the engine untouched and returns an error wrapping
-// ErrInvalid rather than panicking.
+// MarshalState: per-workload config, arrival history and fitted model.
+// The Train sub-config and clock keep their current
+// (constructor-supplied) values. Every field is validated before
+// anything is mutated, so a corrupt blob leaves the engine untouched and
+// returns an error wrapping ErrInvalid rather than panicking.
 //
 // Blobs written before the config plane existed carry only the scalar
 // config fields; the missing knobs (plan targets, horizon, retrain
@@ -165,10 +161,8 @@ const logIntensityBound = 40.0
 // config starts at version 1.
 //
 // RestoreState must run before the engine serves traffic: the boot
-// sequence in cmd/scalerd guarantees this. At boot, plans resume
-// bit-for-bit from the snapshot, except that rt/cost Monte Carlo
-// streams restart from the seed (mid-stream RNG position is not
-// persisted).
+// sequence in cmd/scalerd guarantees this. At boot, plans of every
+// variant resume bit-for-bit from the snapshot.
 func (e *Engine) RestoreState(blob []byte) error {
 	var st engineState
 	if err := json.Unmarshal(blob, &st); err != nil {
@@ -236,8 +230,6 @@ func (e *Engine) RestoreState(blob []byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ec = ec
-	e.cfg.Seed = st.Seed
-	e.rng = rand.New(rand.NewSource(st.Seed))
 	e.arrivals = st.Arrivals
 	e.model = model
 	e.results = nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -47,10 +48,8 @@ func TestMarshalRestoreRoundTripBitForBit(t *testing.T) {
 	const now = 4 * 3600.0
 	src := trainedEngine(t, now)
 	wantHP := planOf(t, src, "hp", now)
-	// rt exercises the Monte Carlo path: the first rt plan after restore
-	// must match the first rt plan after training, because the restored
-	// RNG restarts from the persisted seed.
 	wantRT := planOf(t, src, "rt", now)
+	wantCost := planOf(t, src, "cost", now)
 	wantFC, err := src.Forecast(now, now+3600, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -78,12 +77,116 @@ func TestMarshalRestoreRoundTripBitForBit(t *testing.T) {
 	if got := planOf(t, dst, "rt", now); !reflect.DeepEqual(got, wantRT) {
 		t.Fatalf("rt plan after restore = %+v, want %+v", got, wantRT)
 	}
+	if got := planOf(t, dst, "cost", now); !reflect.DeepEqual(got, wantCost) {
+		t.Fatalf("cost plan after restore = %+v, want %+v", got, wantCost)
+	}
 	got, err := dst.Forecast(now, now+3600, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, wantFC) {
 		t.Fatal("forecast after restore differs")
+	}
+}
+
+// TestRTCostPlansIgnoreSeed: rt and cost plans draw no random numbers.
+// Blobs that differ only in the "seed" builds with Monte Carlo plans
+// wrote restore to byte-identical plans, and so do two registry
+// workloads with the same traffic, which were once seeded from their
+// IDs.
+func TestRTCostPlansIgnoreSeed(t *testing.T) {
+	const now = 4 * 3600.0
+	src := trainedEngine(t, now)
+	want := map[string]string{}
+	for _, v := range []string{"rt", "cost"} {
+		want[v] = mustJSONString(t, planOf(t, src, v, now))
+	}
+	blob, err := src.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m["seed"]; ok {
+		t.Fatal(`MarshalState still writes the retired "seed"`)
+	}
+	for _, seed := range []string{"1", "42", "-9000"} {
+		m["seed"] = json.RawMessage(seed)
+		seeded, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst, err := New(testConfig(now))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.RestoreState(seeded); err != nil {
+			t.Fatal(err)
+		}
+		for v, w := range want {
+			if got := mustJSONString(t, planOf(t, dst, v, now)); got != w {
+				t.Fatalf("seed %s: %s plan differs from the source engine's", seed, v)
+			}
+		}
+	}
+
+	r, err := NewRegistry(testConfig(now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"api-eu", "batch-7"} {
+		e, err := r.GetOrCreate(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Ingest(trafficArrivals(7, now)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Train(); err != nil {
+			t.Fatal(err)
+		}
+		for v, w := range want {
+			if got := mustJSONString(t, planOf(t, e, v, now)); got != w {
+				t.Fatalf("workload %s: %s plan differs from the standalone engine's", id, v)
+			}
+		}
+	}
+}
+
+// TestRestoreSeededV1Fixture: the committed v1 snapshot, whose blobs
+// carry a "seed", still restores, and its trained workload plans every
+// variant.
+func TestRestoreSeededV1Fixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "store", "testdata", "v1-snapshot.rsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, store.SnapshotFile), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const now = 400.0
+	r, err := NewRegistry(testConfig(now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.RestoreFrom(st); err != nil || n != 2 {
+		t.Fatalf("RestoreFrom = (%d, %v), want (2, nil)", n, err)
+	}
+	e, ok := r.Get("ci-runners")
+	if !ok {
+		t.Fatal("ci-runners missing after restore")
+	}
+	for _, v := range []string{"hp", "rt", "cost"} {
+		if p := planOf(t, e, v, now); len(p.Plan) == 0 {
+			t.Fatalf("restored fixture's %s plan is empty", v)
+		}
 	}
 }
 

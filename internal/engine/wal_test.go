@@ -76,7 +76,6 @@ func ingestVia(t *testing.T, e *Engine, chunked bool, batch []float64) {
 func TestKill9AckedBatchesSurviveBitIdentical(t *testing.T) {
 	now := 7200.0
 	cfg := testConfig(now)
-	cfg.Seed = 42
 	storeDir, walDir := t.TempDir(), t.TempDir()
 
 	// The control fleet: same config, same traffic, never interrupted.
@@ -136,16 +135,15 @@ func TestKill9AckedBatchesSurviveBitIdentical(t *testing.T) {
 			t.Fatalf("%q: restarted history has %d arrivals, control %d", id, rn, cn)
 		}
 		// Both fleets train cold over identical histories, then must
-		// produce bit-identical plans (deterministic hp and Monte Carlo
-		// rt — the restored RNG is re-seeded, and the control's stream is
-		// untouched) and forecasts.
+		// produce bit-identical plans (every variant is deterministic) and
+		// forecasts.
 		if _, err := ce.Train(); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := re.Train(); err != nil {
 			t.Fatal(err)
 		}
-		for _, variant := range []string{"hp", "rt"} {
+		for _, variant := range []string{"hp", "rt", "cost"} {
 			cp := planOf(t, ce, variant, now)
 			rp := planOf(t, re, variant, now)
 			if !reflect.DeepEqual(cp, rp) {

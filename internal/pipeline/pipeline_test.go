@@ -309,7 +309,6 @@ func testRegistry(t *testing.T, now *float64) (*engine.Registry, *engine.Engine)
 	t.Helper()
 	cfg := engine.DefaultConfig()
 	cfg.MCSamples = 200
-	cfg.Seed = 1
 	cfg.Now = func() float64 { return *now }
 	reg, err := engine.NewRegistry(cfg)
 	if err != nil {

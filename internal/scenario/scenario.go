@@ -9,9 +9,9 @@
 // the scorecard as SCENARIOS.json, which is committed and jq-gated in
 // CI the same way BENCH_hotpath.json is.
 //
-// Everything is a pure function of the base seed: generators, the
-// engine's Monte Carlo streams and the simulator draws all derive from
-// it, and the report carries no wall-clock state, so two runs of the
+// Everything is a pure function of the base seed: the generators and
+// the simulator draws derive from it, the engine's plans are
+// deterministic, and the report carries no wall-clock state, so two runs of the
 // same corpus produce byte-identical scorecards (regression-tested).
 package scenario
 
@@ -245,7 +245,6 @@ func setup(kind string, sc *Scenario, baseSeed int64, quick bool, phaseCut float
 	ecfg.Pending = f.MeanPending
 	ecfg.HistoryWindow = 0
 	ecfg.MCSamples = 200
-	ecfg.Seed = seed
 	ecfg.Now = func() float64 { return f.TrainEnd }
 	ecfg.Train = sc.trainConfig()
 	var err error

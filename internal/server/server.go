@@ -358,7 +358,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request, e *engine.En
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request, e *engine.Engine) {
 	az := s.pipelines.For(r.PathValue("id"), e).Analyzer()
 	q := r.URL.Query()
-	from, err := floatParam(q.Get("from"), az.Now())
+	dt := az.EngineConfig().Dt
+	// A defaulted from snaps to the clock's Dt/4 slot, as a clock-anchored
+	// plan does, so a dashboard polling without from hits the cache.
+	from, err := floatParam(q.Get("from"), engine.ClockSlot(az.Now(), dt))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -368,7 +371,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request, e *engin
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	step, err := floatParam(q.Get("step"), az.EngineConfig().Dt)
+	step, err := floatParam(q.Get("step"), dt)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

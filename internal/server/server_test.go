@@ -245,6 +245,52 @@ func TestForecastEndpoint(t *testing.T) {
 	}
 }
 
+// TestDefaultForecastSnapsToClockSlot: a forecast without from is
+// anchored on the clock's Dt/4 slot, like a clock-anchored plan, so two
+// polls inside one slot are one cache entry with identical bytes, and a
+// poll in the next slot moves the anchor with it.
+func TestDefaultForecastSnapsToClockSlot(t *testing.T) {
+	const horizon = 4 * 3600.0 // a slot boundary: Dt 60 s, slots of 15 s
+	clock := horizon + 1
+	cfg := DefaultConfig()
+	cfg.Now = func() float64 { return clock }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	postJSON(t, ts.URL+"/v1/workloads/w/arrivals", map[string]any{"timestamps": trafficArrivals(3, horizon)}).Body.Close()
+	postJSON(t, ts.URL+"/v1/workloads/w/train", map[string]any{}).Body.Close()
+	get := func() []byte {
+		t.Helper()
+		resp := mustGet(t, ts.URL+"/v1/workloads/w/forecast")
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("default forecast: status %d, %v", resp.StatusCode, err)
+		}
+		return body
+	}
+	first := get()
+	clock = horizon + 14
+	if second := get(); !bytes.Equal(second, first) {
+		t.Fatal("two default forecasts inside one slot returned different bytes")
+	}
+	e, _ := s.Registry().Get("w")
+	if st := e.Stats(); st.ForecastCacheHits != 1 || st.ForecastCacheMisses != 1 {
+		t.Fatalf("forecast cache hits/misses = %d/%d, want 1/1", st.ForecastCacheHits, st.ForecastCacheMisses)
+	}
+	var pts []forecastPoint
+	if err := json.Unmarshal(first, &pts); err != nil || len(pts) == 0 || pts[0].T != horizon {
+		t.Fatalf("default forecast anchored at %v (%v), want %g", pts, err, horizon)
+	}
+	clock = horizon + 16
+	if err := json.Unmarshal(get(), &pts); err != nil || pts[0].T != horizon+15 {
+		t.Fatalf("next slot's forecast anchored at %g (%v), want %g", pts[0].T, err, horizon+15)
+	}
+}
+
 func TestPlanWithoutModelConflicts(t *testing.T) {
 	_, ts := newTestServer(t, 0)
 	// The workload must exist (reads on unknown IDs are 404s); only a
